@@ -27,17 +27,17 @@ import numpy as np
 from .dna import (
     ADD,
     COMPLEMENT,
+    COMPOSED,
     DECODE,
     ENCODE,
     RULE_FROM_PAIR,
-    SUB,
     Base,
     RuleClass,
     check_digit,
     check_rule,
     class_index,
 )
-from .cipher import DigitImage, RgbImage, digits_to_image, image_to_digits
+from .cipher import DECRYPT_TABLES, DigitImage, RgbImage, apply_rules, image_to_digits
 
 
 class FailureStage(Enum):
@@ -102,15 +102,7 @@ def composed_rule(z: int, k2: int, t: int) -> int:
     check_digit(t)
     if z not in (0, 1):
         raise ValueError(f"z must be a bit, got {z}")
-    decode = DECODE[k2 - 1]
-    f = {}
-    for x in range(4):
-        x_in = int(COMPLEMENT[x]) if z else x
-        f[x] = int(decode[x_in]) ^ t
-    for rule in range(1, 9):
-        if all(int(DECODE[rule - 1, x]) == f[x] for x in range(4)):
-            return rule
-    raise AssertionError("composed map is not a rule; lookup tables corrupt")
+    return int(COMPOSED[z, k2 - 1, t])
 
 
 def k1_candidates(map_c: int) -> tuple[int, int]:
@@ -256,25 +248,15 @@ def recover_equivalent_key(
 
 
 def equivalent_decrypt(cipher: RgbImage, ek: EquivalentKey) -> RgbImage:
-    """Decrypt with a recovered key: per position, encode cipher digits back
-    to bases under h_i, undo the chained addition, decode under k1."""
+    """Decrypt with a recovered key: the cipher kernel's inverse table for
+    k1, row h_i at each position."""
     if (cipher.width, cipher.height) != (ek.width, ek.height):
         raise ValueError(
             f"equivalent key is for {ek.width}x{ek.height}, "
             f"image is {cipher.width}x{cipher.height}"
         )
-    cd = image_to_digits(cipher)
-    rows = ek.h - 1
-    nr = ENCODE[rows, cd.r]
-    ng = ENCODE[rows, cd.g]
-    nb = ENCODE[rows, cd.b]
-    db = SUB[nb, ng]
-    dg = SUB[ng, db]
-    dr = SUB[nr, dg]
-    decode = DECODE[ek.k1 - 1]
-    return digits_to_image(
-        DigitImage(ek.width, ek.height, decode[dr], decode[dg], decode[db])
-    )
+    plain = apply_rules(DECRYPT_TABLES[ek.k1 - 1], ek.h, cipher.pixels)
+    return RgbImage(ek.width, ek.height, plain)
 
 
 # Equivalent-key file: magic, little-endian dimensions, k1, then one rule

@@ -1,9 +1,20 @@
-"""The encryption pipeline: byte<->digit planes, base encoding, chained
-addition, keyed complement, decoding, masking, and the exact reversal.
+"""The cipher: one per-position rule-table kernel for encryption and
+decryption, plus byte<->digit planes and the literal pipeline steps.
 
 Images are held in raster order.  Each channel byte expands to four base-4
-digits (most significant first), so an L-pixel image becomes three digit
-planes of length 4L.  All per-position transforms are vectorised lookups.
+digits (most significant first), so an L-pixel image has 4L digit positions,
+each holding an (r, g, b) digit triple.  Steps (c)-(e) (complement by z_i,
+decode under k2, XOR with t_i) collapse into one decoding rule
+h_i = COMPOSED[z_i, k2 - 1, t_i] per position, so encryption is a single
+lookup per position in an 8x64 table chosen by k1: row h_i - 1, column the
+packed plaintext triple.  Decryption uses the inverse table.  `apply_rules`
+runs that lookup over any leading batch axes; `measure_avalanche` runs the
+same packed lookup to re-encrypt every flipped image in full, a chunk of
+images at a time.
+
+The step functions (`encode_image` through `mask_step`) are the literal
+five-step pipeline.  No package path calls them; the test suite checks the
+kernel against them.
 """
 
 from __future__ import annotations
@@ -12,7 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dna import ADD, COMPLEMENT, DECODE, ENCODE, SUB, check_rule
+from .dna import (
+    ADD,
+    COMPLEMENT,
+    DECODE,
+    ENCODE,
+    SUB,
+    bytes_to_digits,
+    check_rule,
+    composed_rules,
+)
 from .keystream import Keystreams, SecretKey, keystreams
 
 
@@ -74,16 +94,6 @@ class DnaTriples:
     r: np.ndarray
     g: np.ndarray
     b: np.ndarray
-
-
-def bytes_to_digits(channel: np.ndarray) -> np.ndarray:
-    """Expand bytes to base-4 digits, most significant digit first."""
-    out = np.empty(4 * channel.size, dtype=np.uint8)
-    out[0::4] = (channel >> 6) & 3
-    out[1::4] = (channel >> 4) & 3
-    out[2::4] = (channel >> 2) & 3
-    out[3::4] = channel & 3
-    return out
 
 
 def digits_to_bytes(digits: np.ndarray) -> np.ndarray:
@@ -156,6 +166,103 @@ def mask_step(d: DigitImage, t: np.ndarray) -> DigitImage:
     return DigitImage(d.width, d.height, d.r ^ t, d.g ^ t, d.b ^ t)
 
 
+# A packed triple is one digit position's (r, g, b) digits as r<<4 | g<<2 | b.
+_TRIPLE = (np.arange(64) >> 4, (np.arange(64) >> 2) & 3, np.arange(64) & 3)
+
+
+def _build_rule_tables() -> tuple[np.ndarray, np.ndarray]:
+    # Post-addition bases of every packed triple under every k1, each (8, 64).
+    er, eg, eb = (ENCODE[:, d] for d in _TRIPLE)
+    ng = ADD[eg, eb]
+    # DECODE[:, plane] decodes under every rule h: shape (h, k1, 64).
+    cr, cg, cb = (DECODE[:, plane] for plane in (ADD[er, eg], ng, ADD[ng, eb]))
+    forward = np.ascontiguousarray(((cr << 4) | (cg << 2) | cb).transpose(1, 0, 2))
+    # Every row is a permutation of 0..63, so argsort gives its inverse.
+    return forward, np.argsort(forward, axis=-1).astype(np.uint8)
+
+
+# ENCRYPT_TABLES[k1 - 1, h - 1, packed plain triple] -> packed cipher triple
+# (encode under k1, chained addition, decode under h); DECRYPT_TABLES holds
+# the inverse of every row.
+ENCRYPT_TABLES, DECRYPT_TABLES = _build_rule_tables()
+
+# _SPREAD[c, byte] is a uint32 whose four memory bytes are the byte's digits,
+# most significant first, each shifted to channel c's place in a packed
+# triple; _JOIN[j, packed] is a uint32 whose first three memory bytes are the
+# triple's r, g and b digits shifted to digit j's place in a byte.  Words are
+# only OR-ed and viewed as bytes, so byte order does not matter.
+_SPREAD = np.ascontiguousarray(
+    bytes_to_digits(np.arange(256, dtype=np.uint8)).reshape(1, 256, 4)
+    << np.array([4, 2, 0], dtype=np.uint8)[:, None, None]
+).view(np.uint32)[..., 0]
+_join = np.zeros((4, 64, 4), dtype=np.uint8)
+_join[..., :3] = np.stack(_TRIPLE, axis=-1) << np.array([6, 4, 2, 0])[:, None, None]
+_JOIN = _join.view(np.uint32)[..., 0]
+
+# Bytes of intp lookup indices one kernel pass may build.  The bound keeps a
+# pass's temporaries in cache and the kernel's memory flat at any image size.
+INDEX_BUDGET = 1 << 20
+_PASS_POSITIONS = INDEX_BUDGET // np.dtype(np.intp).itemsize
+
+
+def images_per_pass(pixel_count: int) -> int:
+    """How many whole L-pixel images one pass holds within INDEX_BUDGET (at
+    least one)."""
+    return max(1, _PASS_POSITIONS // (4 * pixel_count))
+
+
+def pack_triples(pixels: np.ndarray) -> np.ndarray:
+    """(..., L, 3) bytes -> (..., 4L) packed digit triples, in digit-position
+    order."""
+    words = _SPREAD[0].take(pixels[..., 0])
+    words |= _SPREAD[1].take(pixels[..., 1])
+    words |= _SPREAD[2].take(pixels[..., 2])
+    return words.view(np.uint8)
+
+
+def unpack_triples(packed: np.ndarray) -> np.ndarray:
+    """(..., 4L) packed digit triples -> (..., L, 3) bytes (inverse of
+    pack_triples)."""
+    words = _JOIN[0].take(packed[..., 0::4])
+    for j in (1, 2, 3):
+        words |= _JOIN[j].take(packed[..., j::4])
+    return words.view(np.uint8).reshape(*words.shape, 4)[..., :3]
+
+
+def lookup_rules(table: np.ndarray, h: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """table[h_i - 1, packed_i] at every position i; the rule stream `h`
+    (entries in [1, 8]) is shared by every leading axis of `packed`."""
+    index = packed.astype(np.intp)
+    index += (h.astype(np.intp) - 1) << 6
+    return table.ravel().take(index)
+
+
+def apply_rules(table: np.ndarray, h: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """The cipher kernel: per digit position i, replace the packed (r, g, b)
+    triple p_i by table[h_i - 1, p_i].
+
+    `table` is one k1's 8x64 slice of ENCRYPT_TABLES or DECRYPT_TABLES,
+    `pixels` has shape (..., L, 3) with any leading batch axes, and `h` holds
+    4L rules in [1, 8], shared by every image.  Runs in pixel chunks whose
+    index array stays within INDEX_BUDGET.
+    """
+    pixels = np.asarray(pixels, dtype=np.uint8)
+    if pixels.ndim < 2 or pixels.shape[-1] != 3:
+        raise ValueError(f"pixels must have shape (..., L, 3), got {pixels.shape}")
+    n = pixels.shape[-2]
+    if h.shape != (4 * n,):
+        raise ValueError(f"rule stream must have length {4 * n}, got {h.shape}")
+    images = max(1, int(np.prod(pixels.shape[:-2])))
+    step = max(1, _PASS_POSITIONS // (4 * images))
+    out = np.empty_like(pixels)
+    for s in range(0, n, step):
+        packed = pack_triples(pixels[..., s:s + step, :])
+        out[..., s:s + step, :] = unpack_triples(
+            lookup_rules(table, h[4 * s:4 * (s + step)], packed)
+        )
+    return out
+
+
 def _streams_for(img: RgbImage, key: SecretKey, streams: Keystreams | None) -> Keystreams:
     if streams is None:
         return keystreams(key, img.pixel_count)
@@ -165,19 +272,17 @@ def _streams_for(img: RgbImage, key: SecretKey, streams: Keystreams | None) -> K
 
 
 def encrypt(img: RgbImage, key: SecretKey, streams: Keystreams | None = None) -> RgbImage:
-    """Run the full pipeline.  `streams` bypasses the logistic map (test
-    hook / keystream reuse); rules still come from `key`."""
+    """Encrypt with the rule-table kernel.  `streams` bypasses the logistic
+    map (test hook / keystream reuse); rules still come from `key`."""
     ks = _streams_for(img, key, streams)
-    d = image_to_digits(img)
-    n = addition_step(encode_image(d, key.k1))
-    masked = mask_step(decode_image(complement_step(n, ks.z), key.k2), ks.t)
-    return digits_to_image(masked)
+    h = composed_rules(ks.z, key.k2, ks.t)
+    pixels = apply_rules(ENCRYPT_TABLES[key.k1 - 1], h, img.pixels)
+    return RgbImage(img.width, img.height, pixels)
 
 
 def decrypt(img: RgbImage, key: SecretKey, streams: Keystreams | None = None) -> RgbImage:
     """Exact inverse of encrypt for the same key (and injected streams)."""
     ks = _streams_for(img, key, streams)
-    d = image_to_digits(img)
-    n = encode_image(mask_step(d, ks.t), key.k2)
-    plain = decode_image(inverse_addition_step(complement_step(n, ks.z)), key.k1)
-    return digits_to_image(plain)
+    h = composed_rules(ks.z, key.k2, ks.t)
+    pixels = apply_rules(DECRYPT_TABLES[key.k1 - 1], h, img.pixels)
+    return RgbImage(img.width, img.height, pixels)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dna import check_rule
+from .dna import bytes_to_digits, check_rule
 
 MU_MIN = 3.569945
 MU_MAX = 4.0
@@ -106,13 +106,7 @@ def bits_from_states(states: np.ndarray) -> np.ndarray:
 def mask_digits_from_states(states: np.ndarray) -> np.ndarray:
     """Expand each orbit value into four base-4 digits of
     floor(value * 1e5) mod 256, most significant digit first."""
-    t_bytes = (np.floor(states * 1e5).astype(np.int64) % 256).astype(np.uint8)
-    digits = np.empty(4 * t_bytes.size, dtype=np.uint8)
-    digits[0::4] = (t_bytes >> 6) & 3
-    digits[1::4] = (t_bytes >> 4) & 3
-    digits[2::4] = (t_bytes >> 2) & 3
-    digits[3::4] = t_bytes & 3
-    return digits
+    return bytes_to_digits((np.floor(states * 1e5).astype(np.int64) % 256).astype(np.uint8))
 
 
 def z_sequence(x0: float, mu: float, pixel_count: int) -> np.ndarray:

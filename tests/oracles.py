@@ -1,13 +1,18 @@
 """Independent reference material for the test suite.
 
-Everything here is deliberately scalar and dict-based, re-transcribed from
-the printed tables, so it shares no code (and no transcription) with the
-package's vectorised lookup paths.
+Everything above the "Reference pipeline" section is deliberately scalar and
+dict-based, re-transcribed from the printed tables, so it shares no code (and
+no transcription) with the package's vectorised lookup paths.  That section
+chains the package's literal step functions into the five-step pipeline and
+the per-trial avalanche loop, the references the rule-table kernel and the
+batched avalanche are checked against.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 # Digit -> base character per rule (string position = digit).
 RULES = {
@@ -116,6 +121,13 @@ K1_SCOPE = {0: (3, 4), 1: (1, 7), 2: (2, 8), 3: (5, 6)}
 PHI = {"C": 0, "A": 1, "T": 2, "G": 3}
 
 
+def composed_stream(z, k2: int, t) -> np.ndarray:
+    """The composed rule at every position of the streams z and t."""
+    return np.array(
+        [COMPOSED_TABLE[(int(zi), k2, int(ti))] for zi, ti in zip(z, t)], dtype=np.uint8
+    )
+
+
 def byte_to_digits(v: int) -> list[int]:
     return [(v >> 6) & 3, (v >> 4) & 3, (v >> 2) & 3, v & 3]
 
@@ -189,3 +201,73 @@ def enumerate_flip_footprints():
                     max_digits[channel] = max(max_digits[channel], len(changed))
                     max_bits[channel] = max(max_bits[channel], bits)
     return {c: (union[c], max_digits[c], max_bits[c]) for c in range(3)}
+
+
+# --- Reference pipeline: the package's step functions, chained literally. ---
+
+
+def pipeline_encrypt(img, key, streams):
+    from dnacipher.cipher import (
+        addition_step,
+        complement_step,
+        decode_image,
+        digits_to_image,
+        encode_image,
+        image_to_digits,
+        mask_step,
+    )
+
+    n = addition_step(encode_image(image_to_digits(img), key.k1))
+    masked = mask_step(decode_image(complement_step(n, streams.z), key.k2), streams.t)
+    return digits_to_image(masked)
+
+
+def pipeline_decrypt(img, key, streams):
+    from dnacipher.cipher import (
+        complement_step,
+        decode_image,
+        digits_to_image,
+        encode_image,
+        image_to_digits,
+        inverse_addition_step,
+        mask_step,
+    )
+
+    n = encode_image(mask_step(image_to_digits(img), streams.t), key.k2)
+    plain = decode_image(inverse_addition_step(complement_step(n, streams.z)), key.k1)
+    return digits_to_image(plain)
+
+
+def avalanche_reference(img, key, trials: int, seed: int = 0):
+    """The per-trial avalanche loop: one flip, one full re-encryption through
+    the step pipeline and one digit-plane diff per trial."""
+    from dnacipher.analysis import AvalancheReport
+    from dnacipher.cipher import RgbImage, image_to_digits
+    from dnacipher.keystream import keystreams
+
+    def planes(image):
+        d = image_to_digits(pipeline_encrypt(image, key, streams))
+        return np.stack([d.r, d.g, d.b])
+
+    streams = keystreams(key, img.pixel_count)
+    baseline = planes(img)
+    rng = np.random.default_rng(seed)
+    violations = max_digits = max_bits = 0
+    footprint = {ch: (0, 0) for ch in "RGB"}
+    for _ in range(trials):
+        pixel = int(rng.integers(img.pixel_count))
+        channel = int(rng.integers(3))
+        bit = int(rng.integers(8))
+        flipped = RgbImage(img.width, img.height, img.pixels.copy())
+        flipped.pixels[pixel, channel] ^= 1 << bit
+        delta = baseline ^ planes(flipped)
+        positions = np.nonzero(delta)[1]
+        if positions.size and (positions.min() < 4 * pixel or positions.max() >= 4 * pixel + 4):
+            violations += 1
+        digits = int(positions.size)
+        bits = sum(bin(int(v)).count("1") for v in delta[delta != 0])
+        max_digits = max(max_digits, digits)
+        max_bits = max(max_bits, bits)
+        name = "RGB"[channel]
+        footprint[name] = (max(footprint[name][0], digits), max(footprint[name][1], bits))
+    return AvalancheReport(trials, violations, max_digits, max_bits, footprint)

@@ -14,6 +14,7 @@ from dnacipher import (
     measure_avalanche,
     measure_wrong_key_leak,
 )
+from dnacipher.cipher import images_per_pass
 from dnacipher.keystream import random_key
 from dnacipher.synth import natural_image, uniform_random_image
 
@@ -49,6 +50,53 @@ def test_avalanche_deterministic(true_key):
     a = measure_avalanche(img, true_key, trials=200, seed=7)
     b = measure_avalanche(img, true_key, trials=200, seed=7)
     assert a == b
+
+
+def test_avalanche_chunk_size_from_image_size():
+    # as many images as keep a pass's intp index array within 1 MiB
+    itemsize = np.dtype(np.intp).itemsize
+    assert images_per_pass(64 * 64) == (1 << 20) // (4 * 64 * 64 * itemsize)
+    if itemsize == 8:
+        assert images_per_pass(64 * 64) == 8
+    assert images_per_pass(1024 * 1024) == 1
+    assert images_per_pass(1) == (1 << 20) // (4 * itemsize)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_avalanche_batched_matches_per_trial_loop(offset):
+    rng = np.random.default_rng(42 + offset)
+    img = natural_image(64, 64, seed=43)
+    key = random_key(rng)
+    trials = images_per_pass(img.pixel_count) + offset
+    assert measure_avalanche(img, key, trials, seed=offset + 5) == oracles.avalanche_reference(
+        img, key, trials, seed=offset + 5
+    )
+
+
+@pytest.mark.parametrize("width,height,trials", [(64, 64, 1), (1, 1, 1), (1, 1, 40), (7, 3, 25)])
+def test_avalanche_small_cases_match_per_trial_loop(width, height, trials):
+    key = random_key(np.random.default_rng(width * 100 + trials))
+    img = uniform_random_image(width, height, seed=trials)
+    assert measure_avalanche(img, key, trials, seed=3) == oracles.avalanche_reference(
+        img, key, trials, seed=3
+    )
+
+
+def test_avalanche_counts_violations_of_a_mixing_kernel(monkeypatch, true_key):
+    # a kernel that moves every result one pixel along must show every
+    # trial as a locality violation, with the same change counts
+    import dnacipher.analysis as analysis
+
+    img = natural_image(8, 8, seed=44)
+    honest = measure_avalanche(img, true_key, trials=60, seed=1)
+    real = analysis.lookup_rules
+    monkeypatch.setattr(
+        analysis, "lookup_rules", lambda table, h, packed: np.roll(real(table, h, packed), 4, axis=-1)
+    )
+    mixed = measure_avalanche(img, true_key, trials=60, seed=1)
+    assert honest.locality_violations == 0
+    assert mixed.locality_violations == 60
+    assert mixed.per_channel_footprint == honest.per_channel_footprint
 
 
 def test_avalanche_rejects_bad_trials(true_key):

@@ -27,7 +27,8 @@ from dnacipher import (
     recover_k2_class,
     recover_map_c,
 )
-from dnacipher.keystream import random_key
+from dnacipher.keystream import keystreams, random_key
+from dnacipher.dna import composed_rules
 from dnacipher.synth import constant_image, natural_image, uniform_random_image
 
 import oracles
@@ -55,6 +56,14 @@ def test_composed_rule_matches_brute_force_and_table():
         for x in "ACGT":
             assert oracles.decode(h, x) == f[x]
         assert h == oracles.COMPOSED_TABLE[(z, k2, t)]
+
+
+def test_composed_rules_stream_matches_table():
+    z, t = np.array(list(itertools.product((0, 1), range(4))), dtype=np.uint8).T
+    for k2 in range(1, 9):
+        assert np.array_equal(composed_rules(z, k2, t), oracles.composed_stream(z, k2, t))
+    with pytest.raises(ValueError):
+        composed_rules(z, 9, t)
 
 
 def test_composed_map_is_watson_crick_bijection():
@@ -240,17 +249,10 @@ def test_recover_equivalent_key_success(true_key, natural_64, natural_64_second)
     assert report.k1_candidates == (1, 7)
     assert report.k2_class == RuleClass.B
     # the recovered rules are the composed rules of the true keystreams
-    from dnacipher.keystream import keystreams
-
     ks = keystreams(true_key, natural_64.pixel_count)
-    expected_h = np.array(
-        [
-            oracles.COMPOSED_TABLE[(int(z), true_key.k2, int(t))]
-            for z, t in zip(ks.z, ks.t)
-        ],
-        dtype=np.uint8,
+    assert np.array_equal(
+        report.recovered.h, oracles.composed_stream(ks.z, true_key.k2, ks.t)
     )
-    assert np.array_equal(report.recovered.h, expected_h)
     # decrypts the known pair and a fresh ciphertext under the same key
     assert equivalent_decrypt(cipher, report.recovered) == natural_64
     second_cipher = encrypt(natural_64_second, true_key)
@@ -265,6 +267,8 @@ def test_recovered_key_matches_true_decryption_broadly():
         cipher = encrypt(plain, key)
         report = recover_equivalent_key(plain, cipher, cross_check=True)
         assert report.failure_stage is None, (key, report.failure_stage)
+        ks = keystreams(key, plain.pixel_count)
+        assert np.array_equal(report.recovered.h, oracles.composed_stream(ks.z, key.k2, ks.t))
         other = natural_image(16, 16, seed=300 + trial)
         other_cipher = encrypt(other, key)
         assert equivalent_decrypt(other_cipher, report.recovered) == decrypt(

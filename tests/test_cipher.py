@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dnacipher import (
     Base,
@@ -26,6 +27,14 @@ from dnacipher import (
     inverse_addition_step,
     mask_step,
 )
+from dnacipher.cipher import (
+    DECRYPT_TABLES,
+    ENCRYPT_TABLES,
+    apply_rules,
+    pack_triples,
+    unpack_triples,
+)
+from dnacipher.dna import composed_rules
 from dnacipher.keystream import keystreams, random_key
 
 import oracles
@@ -268,3 +277,74 @@ def test_injected_stream_length_must_match():
     ks = Keystreams(z=np.zeros(8, dtype=np.uint8), t=np.zeros(8, dtype=np.uint8))
     with pytest.raises(ValueError):
         encrypt(img, key, ks)
+
+
+# --- The rule-table kernel against the step-function pipeline. ---
+
+
+@pytest.mark.parametrize("images", [1, 3])
+@settings(max_examples=40, deadline=None)
+@given(
+    k1=st.integers(1, 8),
+    k2=st.integers(1, 8),
+    pixel_count=st.integers(1, 12),
+    data=st.data(),
+)
+def test_apply_rules_matches_step_pipeline(images, k1, k2, pixel_count, data):
+    positions = 4 * pixel_count
+    pixels = data.draw(hnp.arrays(np.uint8, (images, pixel_count, 3)))
+    z = data.draw(hnp.arrays(np.uint8, positions, elements=st.integers(0, 1)))
+    t = data.draw(hnp.arrays(np.uint8, positions, elements=st.integers(0, 3)))
+    key = SecretKey(k1, k2, 0.5, 3.8, 0.5, 3.8)
+    ks = Keystreams(z=z, t=t)
+    h = composed_rules(z, k2, t)
+    forward = apply_rules(ENCRYPT_TABLES[k1 - 1], h, pixels)
+    inverse = apply_rules(DECRYPT_TABLES[k1 - 1], h, forward)
+    assert forward.shape == pixels.shape
+    assert np.array_equal(inverse, pixels)
+    for i in range(images):
+        img = RgbImage(pixel_count, 1, pixels[i])
+        cipher = oracles.pipeline_encrypt(img, key, ks)
+        assert np.array_equal(forward[i], cipher.pixels)
+        assert np.array_equal(
+            apply_rules(DECRYPT_TABLES[k1 - 1], h, cipher.pixels),
+            oracles.pipeline_decrypt(cipher, key, ks).pixels,
+        )
+
+
+def test_apply_rules_pass_size_does_not_change_output(monkeypatch):
+    import dnacipher.cipher as cipher_module
+
+    rng = np.random.default_rng(7)
+    pixels = rng.integers(0, 256, (2, 37, 3), dtype=np.uint8)
+    h = rng.integers(1, 9, 4 * 37).astype(np.uint8)
+    whole = apply_rules(ENCRYPT_TABLES[4], h, pixels)
+    for positions in (1, 8, 40, 72):
+        monkeypatch.setattr(cipher_module, "_PASS_POSITIONS", positions)
+        assert np.array_equal(apply_rules(ENCRYPT_TABLES[4], h, pixels), whole)
+
+
+def test_apply_rules_rejects_bad_shapes():
+    pixels = np.zeros((4, 3), dtype=np.uint8)
+    with pytest.raises(ValueError):
+        apply_rules(ENCRYPT_TABLES[0], np.ones(15, dtype=np.uint8), pixels)
+    with pytest.raises(ValueError):
+        apply_rules(ENCRYPT_TABLES[0], np.ones(16, dtype=np.uint8), np.zeros((4, 4), np.uint8))
+
+
+def test_rule_tables_are_mutually_inverse_permutations():
+    identity = np.broadcast_to(np.arange(64), (8, 8, 64))
+    assert np.array_equal(np.sort(ENCRYPT_TABLES, axis=-1), identity)
+    assert np.array_equal(
+        np.take_along_axis(DECRYPT_TABLES, ENCRYPT_TABLES.astype(np.intp), axis=-1), identity
+    )
+
+
+def test_packed_triples_roundtrip_and_digit_order():
+    rng = np.random.default_rng(8)
+    pixels = rng.integers(0, 256, (3, 10, 3), dtype=np.uint8)
+    packed = pack_triples(pixels)
+    assert packed.shape == (3, 40)
+    assert np.array_equal(unpack_triples(packed), pixels)
+    d = image_to_digits(RgbImage(10, 1, pixels[1]))
+    assert np.array_equal(packed[1], (d.r << 4) | (d.g << 2) | d.b)
