@@ -27,18 +27,11 @@ from .keystream import (
 )
 from .cipher import (
     DigitImage,
-    DnaTriples,
     RgbImage,
-    addition_step,
-    complement_step,
-    decode_image,
     decrypt,
     digits_to_image,
-    encode_image,
     encrypt,
     image_to_digits,
-    inverse_addition_step,
-    mask_step,
 )
 from .attack import (
     AttackReport,

@@ -12,6 +12,9 @@ test suite:
 * composed rules never leave the rule class of k2, so one XOR observation at
   a suitable position fixes the class and makes every h_i derivable.
 
+Stages 2-4 read post-addition base triples from the cipher's ADDITION_TABLES
+and test their pairs with its per-triple bit tables; they never add bases.
+
 All witness searches are read-only scans in raster order, so reports are
 deterministic and the total cost is linear in the digit count.
 """
@@ -25,11 +28,8 @@ from enum import Enum
 import numpy as np
 
 from .dna import (
-    ADD,
-    COMPLEMENT,
     COMPOSED,
     DECODE,
-    ENCODE,
     RULE_FROM_PAIR,
     Base,
     RuleClass,
@@ -37,7 +37,18 @@ from .dna import (
     check_rule,
     class_index,
 )
-from .cipher import DECRYPT_TABLES, DigitImage, RgbImage, apply_rules, image_to_digits
+from .cipher import (
+    ADDITION_TABLES,
+    DECRYPT_TABLES,
+    EQUAL_PAIRS,
+    PAIRS,
+    SEPARATING_PAIRS,
+    DigitImage,
+    RgbImage,
+    apply_rules,
+    image_to_digits,
+    pack_planes,
+)
 
 
 class FailureStage(Enum):
@@ -120,18 +131,6 @@ def _check_geometry(a, b) -> None:
         )
 
 
-def _n_planes(plain: DigitImage, k1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Base planes after encoding under k1 and the chained addition."""
-    row = ENCODE[k1 - 1]
-    dr, dg, db = row[plain.r], row[plain.g], row[plain.b]
-    ng = ADD[dg, db]
-    return ADD[dr, dg], ng, ADD[ng, db]
-
-
-def _eq_pattern(r, g, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return r == g, g == b, r == b
-
-
 def recover_map_c(plain_digits: DigitImage, cipher_digits: DigitImage) -> tuple[int, int]:
     """Stage 1: find a position with equal g/b cipher digits; the plaintext
     b digit there is the digit that k1 maps to C.  Returns (digit, witness)."""
@@ -156,18 +155,11 @@ def recover_k1(
     """
     _check_geometry(plain_digits, cipher_digits)
     cands = k1_candidates(map_c)
-    observed = _eq_pattern(cipher_digits.r, cipher_digits.g, cipher_digits.b)
-    patterns = [_eq_pattern(*_n_planes(plain_digits, c)) for c in cands]
-    matches = [
-        (p[0] == observed[0]) & (p[1] == observed[1]) & (p[2] == observed[2])
-        for p in patterns
-    ]
-    differ = (
-        (patterns[0][0] != patterns[1][0])
-        | (patterns[0][1] != patterns[1][1])
-        | (patterns[0][2] != patterns[1][2])
-    )
-    hits = np.flatnonzero(differ & (matches[0] ^ matches[1]))
+    plain = pack_planes(plain_digits.r, plain_digits.g, plain_digits.b)
+    observed = EQUAL_PAIRS[pack_planes(cipher_digits.r, cipher_digits.g, cipher_digits.b)]
+    patterns = [EQUAL_PAIRS[ADDITION_TABLES[c - 1]][plain] for c in cands]
+    matches = [p == observed for p in patterns]
+    hits = np.flatnonzero((patterns[0] != patterns[1]) & (matches[0] ^ matches[1]))
     if hits.size == 0:
         raise MissingWitnessError(FailureStage.NO_STEP2_WITNESS)
     i1 = int(hits[0])
@@ -181,32 +173,26 @@ def recover_k2_class(
     non-complementary, the XOR of their cipher digits is 1 or 2 and names the
     rule class of k2.  Returns (class, witness)."""
     _check_geometry(plain_digits, cipher_digits)
-    n = _n_planes(plain_digits, check_rule(k1))
-    c = (cipher_digits.r, cipher_digits.g, cipher_digits.b)
-    pair_order = ((0, 1), (0, 2), (1, 2))
-    good = [
-        (n[i] != n[j]) & (n[j] != COMPLEMENT[n[i]]) for i, j in pair_order
-    ]
-    hits = np.flatnonzero(good[0] | good[1] | good[2])
+    post = ADDITION_TABLES[check_rule(k1) - 1]
+    plain = pack_planes(plain_digits.r, plain_digits.g, plain_digits.b)
+    hits = np.flatnonzero(SEPARATING_PAIRS[post][plain])
     if hits.size == 0:
         raise MissingWitnessError(FailureStage.NO_STEP3_WITNESS)
     i2 = int(hits[0])
-    class_a_rule = RuleClass.A.rules[0]
-    for (i, j), g in zip(pair_order, good):
-        if not g[i2]:
-            continue
-        expected_a = int(DECODE[class_a_rule - 1, n[i][i2]]) ^ int(
-            DECODE[class_a_rule - 1, n[j][i2]]
-        )
-        xor = int(c[i][i2]) ^ int(c[j][i2])
-        if xor == expected_a:
-            return RuleClass.A, i2
-        if xor == 3 - expected_a:
-            return RuleClass.B, i2
-        raise ValueError(
-            "cipher digits inconsistent with the pipeline; not a genuine pair"
-        )
-    raise AssertionError("unreachable: witness position lost")
+    n = int(post[plain[i2]])
+    i, j = next(pair for k, pair in enumerate(PAIRS) if SEPARATING_PAIRS[n] >> k & 1)
+    bases = (n >> 4, (n >> 2) & 3, n & 3)
+    c = (cipher_digits.r[i2], cipher_digits.g[i2], cipher_digits.b[i2])
+    class_a = DECODE[RuleClass.A.rules[0] - 1]
+    expected_a = int(class_a[bases[i]]) ^ int(class_a[bases[j]])
+    xor = int(c[i]) ^ int(c[j])
+    if xor == expected_a:
+        return RuleClass.A, i2
+    if xor == 3 - expected_a:
+        return RuleClass.B, i2
+    raise ValueError(
+        "cipher digits inconsistent with the pipeline; not a genuine pair"
+    )
 
 
 def recover_equivalent_key(
@@ -233,13 +219,12 @@ def recover_equivalent_key(
         return report
 
     # Stage 4: every position now determines its rule from the r channel.
-    nr, ng, nb = _n_planes(pd, k1)
+    post = ADDITION_TABLES[k1 - 1][pack_planes(pd.r, pd.g, pd.b)]
     ci = class_index(report.k2_class)
-    h = RULE_FROM_PAIR[ci, nr, cd.r]
+    h = RULE_FROM_PAIR[ci, post >> 4, cd.r]
     if cross_check:
-        if not np.array_equal(h, RULE_FROM_PAIR[ci, ng, cd.g]) or not np.array_equal(
-            h, RULE_FROM_PAIR[ci, nb, cd.b]
-        ):
+        others = (((post >> 2) & 3, cd.g), (post & 3, cd.b))
+        if not all(np.array_equal(h, RULE_FROM_PAIR[ci, n, d]) for n, d in others):
             raise ValueError(
                 "channel rule derivations disagree; not a genuine pair"
             )

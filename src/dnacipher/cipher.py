@@ -1,5 +1,5 @@
 """The cipher: one per-position rule-table kernel for encryption and
-decryption, plus byte<->digit planes and the literal pipeline steps.
+decryption, plus byte<->digit planes.
 
 Images are held in raster order.  Each channel byte expands to four base-4
 digits (most significant first), so an L-pixel image has 4L digit positions,
@@ -12,9 +12,9 @@ runs that lookup over any leading batch axes; `measure_avalanche` runs the
 same packed lookup to re-encrypt every flipped image in full, a chunk of
 images at a time.
 
-The step functions (`encode_image` through `mask_step`) are the literal
-five-step pipeline.  No package path calls them; the test suite checks the
-kernel against them.
+Steps (a)-(b) (encode under k1, chained addition) are derived once, in
+ADDITION_TABLES; the encryption tables and the attack's stages 2-4 read it.
+The literal five-step pipeline lives in the test suite, as the reference.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ from .dna import (
     COMPLEMENT,
     DECODE,
     ENCODE,
-    SUB,
     bytes_to_digits,
-    check_rule,
     composed_rules,
 )
 from .keystream import Keystreams, SecretKey, keystreams
@@ -85,17 +83,6 @@ class DigitImage:
                 raise ValueError(f"digit planes must have length {n}")
 
 
-@dataclass(eq=False)
-class DnaTriples:
-    """Per-channel base sequences of length 4L (internal base codes)."""
-
-    width: int
-    height: int
-    r: np.ndarray
-    g: np.ndarray
-    b: np.ndarray
-
-
 def digits_to_bytes(digits: np.ndarray) -> np.ndarray:
     return (digits[0::4] << 6) | (digits[1::4] << 4) | (digits[2::4] << 2) | digits[3::4]
 
@@ -117,74 +104,40 @@ def digits_to_image(d: DigitImage) -> RgbImage:
     return RgbImage(d.width, d.height, pixels)
 
 
-def encode_image(d: DigitImage, rule: int) -> DnaTriples:
-    """Step (a): map digit planes to base sequences under one rule."""
-    row = ENCODE[check_rule(rule) - 1]
-    return DnaTriples(d.width, d.height, row[d.r], row[d.g], row[d.b])
-
-
-def decode_image(n: DnaTriples, rule: int) -> DigitImage:
-    """Step (d): map base sequences back to digit planes under one rule."""
-    row = DECODE[check_rule(rule) - 1]
-    return DigitImage(n.width, n.height, row[n.r], row[n.g], row[n.b])
-
-
-def addition_step(d: DnaTriples) -> DnaTriples:
-    """Step (b): chained base addition; the b output reuses the fresh g
-    output, not the g input."""
-    nr = ADD[d.r, d.g]
-    ng = ADD[d.g, d.b]
-    nb = ADD[ng, d.b]
-    return DnaTriples(d.width, d.height, nr, ng, nb)
-
-
-def inverse_addition_step(n: DnaTriples) -> DnaTriples:
-    db = SUB[n.b, n.g]
-    dg = SUB[n.g, db]
-    dr = SUB[n.r, dg]
-    return DnaTriples(n.width, n.height, dr, dg, db)
-
-
-def complement_step(n: DnaTriples, z: np.ndarray) -> DnaTriples:
-    """Step (c): complement all three bases wherever z is 1 (self-inverse)."""
-    if z.shape != n.r.shape:
-        raise ValueError("complement selector length must match the digit planes")
-    flip = z.astype(bool)
-    return DnaTriples(
-        n.width,
-        n.height,
-        np.where(flip, COMPLEMENT[n.r], n.r),
-        np.where(flip, COMPLEMENT[n.g], n.g),
-        np.where(flip, COMPLEMENT[n.b], n.b),
-    )
-
-
-def mask_step(d: DigitImage, t: np.ndarray) -> DigitImage:
-    """Step (e): XOR every channel digit with the mask digit (self-inverse)."""
-    if t.shape != d.r.shape:
-        raise ValueError("mask length must match the digit planes")
-    return DigitImage(d.width, d.height, d.r ^ t, d.g ^ t, d.b ^ t)
-
-
 # A packed triple is one digit position's (r, g, b) digits as r<<4 | g<<2 | b.
 _TRIPLE = (np.arange(64) >> 4, (np.arange(64) >> 2) & 3, np.arange(64) & 3)
 
 
-def _build_rule_tables() -> tuple[np.ndarray, np.ndarray]:
+def pack_planes(r, g, b) -> np.ndarray:
+    """Packed triples r<<4 | g<<2 | b from same-shape r, g and b planes."""
+    return ((r << 4) | (g << 2) | b).astype(np.uint8, copy=False)
+
+
+def _build_rule_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Post-addition bases of every packed triple under every k1, each (8, 64).
     er, eg, eb = (ENCODE[:, d] for d in _TRIPLE)
     ng = ADD[eg, eb]
+    planes = (ADD[er, eg], ng, ADD[ng, eb])
     # DECODE[:, plane] decodes under every rule h: shape (h, k1, 64).
-    cr, cg, cb = (DECODE[:, plane] for plane in (ADD[er, eg], ng, ADD[ng, eb]))
-    forward = np.ascontiguousarray(((cr << 4) | (cg << 2) | cb).transpose(1, 0, 2))
+    decoded = pack_planes(*(DECODE[:, p] for p in planes))
+    forward = np.ascontiguousarray(decoded.transpose(1, 0, 2))
     # Every row is a permutation of 0..63, so argsort gives its inverse.
-    return forward, np.argsort(forward, axis=-1).astype(np.uint8)
+    return pack_planes(*planes), forward, np.argsort(forward, axis=-1).astype(np.uint8)
 
 
+# ADDITION_TABLES[k1 - 1, packed plain triple] -> packed post-addition base
+# triple (encode under k1, chained addition; base codes in place of digits).
 # ENCRYPT_TABLES[k1 - 1, h - 1, packed plain triple] -> packed cipher triple
-# (encode under k1, chained addition, decode under h); DECRYPT_TABLES holds
-# the inverse of every row.
-ENCRYPT_TABLES, DECRYPT_TABLES = _build_rule_tables()
+# (that triple decoded under h); DECRYPT_TABLES holds the inverse of every row.
+ADDITION_TABLES, ENCRYPT_TABLES, DECRYPT_TABLES = _build_rule_tables()
+
+# Bit k of EQUAL_PAIRS[p] (SEPARATING_PAIRS[p]) is set when components PAIRS[k]
+# of packed digit or base triple p are equal (distinct, non-complementary).
+PAIRS = ((0, 1), (0, 2), (1, 2))
+EQUAL_PAIRS, SEPARATING_PAIRS = (
+    sum(test(_TRIPLE[i], _TRIPLE[j]) << k for k, (i, j) in enumerate(PAIRS)).astype(np.uint8)
+    for test in (np.equal, lambda x, y: (x != y) & (y != COMPLEMENT[x]))
+)
 
 # _SPREAD[c, byte] is a uint32 whose four memory bytes are the byte's digits,
 # most significant first, each shifted to channel c's place in a packed

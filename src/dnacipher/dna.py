@@ -129,7 +129,7 @@ def bytes_to_digits(channel: np.ndarray) -> np.ndarray:
 def composed_rules(z: np.ndarray, k2: int, t: np.ndarray) -> np.ndarray:
     """Per-position COMPOSED lookup: the rule stream h for complement bits
     `z` and mask digits `t` under decoding rule k2."""
-    return COMPOSED[:, check_rule(k2) - 1, :].ravel().take((z << 2) | t)
+    return COMPOSED[:, check_rule(k2) - 1, :].ravel()[(z << 2) | t]
 
 
 def encode_digit(rule: int, d: int) -> Base:

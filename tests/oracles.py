@@ -3,16 +3,22 @@
 Everything above the "Reference pipeline" section is deliberately scalar and
 dict-based, re-transcribed from the printed tables, so it shares no code (and
 no transcription) with the package's vectorised lookup paths.  That section
-chains the package's literal step functions into the five-step pipeline and
-the per-trial avalanche loop, the references the rule-table kernel and the
-batched avalanche are checked against.
+holds the literal five-step pipeline: one vectorised function per cipher step
+over the package's `dna` tables, chained into whole-image encryption and
+decryption, plus the per-trial avalanche loop.  These are the references the
+rule-table kernel and the batched avalanche are checked against; the package
+itself never runs the steps one by one.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
+
+from dnacipher.cipher import DigitImage, RgbImage, digits_to_image, image_to_digits
+from dnacipher.dna import ADD, COMPLEMENT, DECODE, ENCODE, SUB, check_rule
 
 # Digit -> base character per rule (string position = digit).
 RULES = {
@@ -203,36 +209,76 @@ def enumerate_flip_footprints():
     return {c: (union[c], max_digits[c], max_bits[c]) for c in range(3)}
 
 
-# --- Reference pipeline: the package's step functions, chained literally. ---
+# --- Reference pipeline: the five cipher steps, chained literally. ---
+
+
+@dataclass(eq=False)
+class DnaTriples:
+    """Per-channel base sequences of length 4L (internal base codes)."""
+
+    width: int
+    height: int
+    r: np.ndarray
+    g: np.ndarray
+    b: np.ndarray
+
+
+def encode_image(d: DigitImage, rule: int) -> DnaTriples:
+    """Step (a): map digit planes to base sequences under one rule."""
+    row = ENCODE[check_rule(rule) - 1]
+    return DnaTriples(d.width, d.height, row[d.r], row[d.g], row[d.b])
+
+
+def decode_image(n: DnaTriples, rule: int) -> DigitImage:
+    """Step (d): map base sequences back to digit planes under one rule."""
+    row = DECODE[check_rule(rule) - 1]
+    return DigitImage(n.width, n.height, row[n.r], row[n.g], row[n.b])
+
+
+def addition_step(d: DnaTriples) -> DnaTriples:
+    """Step (b): chained base addition; the b output reuses the fresh g
+    output, not the g input."""
+    nr = ADD[d.r, d.g]
+    ng = ADD[d.g, d.b]
+    nb = ADD[ng, d.b]
+    return DnaTriples(d.width, d.height, nr, ng, nb)
+
+
+def inverse_addition_step(n: DnaTriples) -> DnaTriples:
+    db = SUB[n.b, n.g]
+    dg = SUB[n.g, db]
+    dr = SUB[n.r, dg]
+    return DnaTriples(n.width, n.height, dr, dg, db)
+
+
+def complement_step(n: DnaTriples, z: np.ndarray) -> DnaTriples:
+    """Step (c): complement all three bases wherever z is 1 (self-inverse)."""
+    if z.shape != n.r.shape:
+        raise ValueError("complement selector length must match the digit planes")
+    flip = z.astype(bool)
+    return DnaTriples(
+        n.width,
+        n.height,
+        np.where(flip, COMPLEMENT[n.r], n.r),
+        np.where(flip, COMPLEMENT[n.g], n.g),
+        np.where(flip, COMPLEMENT[n.b], n.b),
+    )
+
+
+def mask_step(d: DigitImage, t: np.ndarray) -> DigitImage:
+    """Step (e): XOR every channel digit with the mask digit (self-inverse)."""
+    if t.shape != d.r.shape:
+        raise ValueError("mask length must match the digit planes")
+    return DigitImage(d.width, d.height, d.r ^ t, d.g ^ t, d.b ^ t)
 
 
 def pipeline_encrypt(img, key, streams):
-    from dnacipher.cipher import (
-        addition_step,
-        complement_step,
-        decode_image,
-        digits_to_image,
-        encode_image,
-        image_to_digits,
-        mask_step,
-    )
-
     n = addition_step(encode_image(image_to_digits(img), key.k1))
     masked = mask_step(decode_image(complement_step(n, streams.z), key.k2), streams.t)
     return digits_to_image(masked)
 
 
 def pipeline_decrypt(img, key, streams):
-    from dnacipher.cipher import (
-        complement_step,
-        decode_image,
-        digits_to_image,
-        encode_image,
-        image_to_digits,
-        inverse_addition_step,
-        mask_step,
-    )
-
     n = encode_image(mask_step(image_to_digits(img), streams.t), key.k2)
     plain = decode_image(inverse_addition_step(complement_step(n, streams.z)), key.k1)
     return digits_to_image(plain)
@@ -242,7 +288,6 @@ def avalanche_reference(img, key, trials: int, seed: int = 0):
     """The per-trial avalanche loop: one flip, one full re-encryption through
     the step pipeline and one digit-plane diff per trial."""
     from dnacipher.analysis import AvalancheReport
-    from dnacipher.cipher import RgbImage, image_to_digits
     from dnacipher.keystream import keystreams
 
     def planes(image):

@@ -28,6 +28,7 @@ from dnacipher import (
     recover_map_c,
 )
 from dnacipher.keystream import keystreams, random_key
+from dnacipher.cipher import EQUAL_PAIRS, SEPARATING_PAIRS
 from dnacipher.dna import composed_rules
 from dnacipher.synth import constant_image, natural_image, uniform_random_image
 
@@ -135,6 +136,34 @@ def test_distinguishing_triples_characterisation():
             assert (enc2 in oracles.DISTINGUISHING_TRIPLES) == differs
             count += differs
         assert count == 24
+
+
+# Bit k of a pair table covers components (r, g), (r, b), (g, b) in turn.
+_PAIR_ORDER = ((0, 1), (0, 2), (1, 2))
+
+
+def _unpacked_chars(p):
+    return tuple("ACGT"[c] for c in (p >> 4, (p >> 2) & 3, p & 3))
+
+
+def _pair_bits(table, p):
+    return tuple(bool(int(table[p]) >> k & 1) for k in range(3))
+
+
+def test_equal_pair_table_matches_pattern():
+    for p in range(64):
+        rg, rb, gb = _pair_bits(EQUAL_PAIRS, p)
+        assert (rg, gb, rb) == _pattern(_unpacked_chars(p))
+
+
+def test_separating_pair_table_matches_oracle():
+    for p in range(64):
+        t = _unpacked_chars(p)
+        assert _pair_bits(SEPARATING_PAIRS, p) == tuple(
+            t[i] != t[j] and t[j] != oracles.COMP[t[i]] for i, j in _PAIR_ORDER
+        )
+    undetermined = {_unpacked_chars(p) for p in range(64) if SEPARATING_PAIRS[p] == 0}
+    assert undetermined == oracles.UNDETERMINED_TRIPLES
 
 
 def _forced_pair(pixels, k1, k2, width, height, z_bit=0, t_digit=0):

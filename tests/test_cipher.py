@@ -12,25 +12,20 @@ from hypothesis.extra import numpy as hnp
 from dnacipher import (
     Base,
     DigitImage,
-    DnaTriples,
     Keystreams,
     RgbImage,
     SecretKey,
-    addition_step,
-    complement_step,
-    decode_image,
     decrypt,
     digits_to_image,
-    encode_image,
     encrypt,
     image_to_digits,
-    inverse_addition_step,
-    mask_step,
 )
 from dnacipher.cipher import (
+    ADDITION_TABLES,
     DECRYPT_TABLES,
     ENCRYPT_TABLES,
     apply_rules,
+    pack_planes,
     pack_triples,
     unpack_triples,
 )
@@ -38,6 +33,15 @@ from dnacipher.dna import composed_rules
 from dnacipher.keystream import keystreams, random_key
 
 import oracles
+from oracles import (
+    DnaTriples,
+    addition_step,
+    complement_step,
+    decode_image,
+    encode_image,
+    inverse_addition_step,
+    mask_step,
+)
 
 B = {name: Base[name].value for name in "ACGT"}
 
@@ -340,6 +344,15 @@ def test_rule_tables_are_mutually_inverse_permutations():
     )
 
 
+def test_addition_tables_match_scalar_oracle():
+    # every k1 and packed plaintext triple: the packed post-addition bases
+    for k1, p in itertools.product(range(1, 9), range(64)):
+        encoded = (oracles.encode(k1, d) for d in (p >> 4, (p >> 2) & 3, p & 3))
+        n = int(ADDITION_TABLES[k1 - 1, p])
+        got = tuple("ACGT"[c] for c in (n >> 4, (n >> 2) & 3, n & 3))
+        assert got == oracles.addition_chain(*encoded)
+
+
 def test_packed_triples_roundtrip_and_digit_order():
     rng = np.random.default_rng(8)
     pixels = rng.integers(0, 256, (3, 10, 3), dtype=np.uint8)
@@ -348,3 +361,4 @@ def test_packed_triples_roundtrip_and_digit_order():
     assert np.array_equal(unpack_triples(packed), pixels)
     d = image_to_digits(RgbImage(10, 1, pixels[1]))
     assert np.array_equal(packed[1], (d.r << 4) | (d.g << 2) | d.b)
+    assert np.array_equal(pack_planes(d.r, d.g, d.b), packed[1])
