@@ -50,7 +50,7 @@ def main() -> int:
     (outdir / "known_cipher.ppm").write_bytes(write_ppm(known_cipher))
     (outdir / "fresh_cipher.ppm").write_bytes(write_ppm(fresh_cipher))
 
-    report = recover_equivalent_key(known, known_cipher, cross_check=True)
+    report = recover_equivalent_key(known, known_cipher)
     if report.recovered is None:
         print(f"attack failed: {report.failure_stage.value}")
         return 2

@@ -12,8 +12,10 @@ test suite:
 * composed rules never leave the rule class of k2, so one XOR observation at
   a suitable position fixes the class and makes every h_i derivable.
 
-Stages 2-4 read post-addition base triples from the cipher's ADDITION_TABLES
-and test their pairs with its per-triple bit tables; they never add bases.
+Stages 2-3 read post-addition base triples from the cipher's ADDITION_TABLES
+and test their pairs with its per-triple bit tables.  Stage 4 reads h_i off
+RULE_TABLES, the inverse of the cipher's tables, and so rejects non-genuine
+pairs.
 
 All witness searches are read-only scans in raster order, so reports are
 deterministic and the total cost is linear in the digit count.
@@ -30,7 +32,6 @@ import numpy as np
 from .dna import (
     COMPOSED,
     DECODE,
-    RULE_FROM_PAIR,
     Base,
     RuleClass,
     check_digit,
@@ -42,12 +43,12 @@ from .cipher import (
     DECRYPT_TABLES,
     EQUAL_PAIRS,
     PAIRS,
+    RULE_TABLES,
     SEPARATING_PAIRS,
     DigitImage,
     RgbImage,
     apply_rules,
     image_to_digits,
-    pack_planes,
 )
 
 
@@ -139,7 +140,7 @@ def recover_map_c(plain_digits: DigitImage, cipher_digits: DigitImage) -> tuple[
     if hits.size == 0:
         raise MissingWitnessError(FailureStage.NO_STEP1_WITNESS)
     i0 = int(hits[0])
-    return int(plain_digits.b[i0]), i0
+    return int(plain_digits.packed[i0]) & 3, i0
 
 
 def recover_k1(
@@ -155,9 +156,8 @@ def recover_k1(
     """
     _check_geometry(plain_digits, cipher_digits)
     cands = k1_candidates(map_c)
-    plain = pack_planes(plain_digits.r, plain_digits.g, plain_digits.b)
-    observed = EQUAL_PAIRS[pack_planes(cipher_digits.r, cipher_digits.g, cipher_digits.b)]
-    patterns = [EQUAL_PAIRS[ADDITION_TABLES[c - 1]][plain] for c in cands]
+    observed = EQUAL_PAIRS[cipher_digits.packed]
+    patterns = [EQUAL_PAIRS[ADDITION_TABLES[c - 1]][plain_digits.packed] for c in cands]
     matches = [p == observed for p in patterns]
     hits = np.flatnonzero((patterns[0] != patterns[1]) & (matches[0] ^ matches[1]))
     if hits.size == 0:
@@ -174,18 +174,18 @@ def recover_k2_class(
     rule class of k2.  Returns (class, witness)."""
     _check_geometry(plain_digits, cipher_digits)
     post = ADDITION_TABLES[check_rule(k1) - 1]
-    plain = pack_planes(plain_digits.r, plain_digits.g, plain_digits.b)
-    hits = np.flatnonzero(SEPARATING_PAIRS[post][plain])
+    hits = np.flatnonzero(SEPARATING_PAIRS[post][plain_digits.packed])
     if hits.size == 0:
         raise MissingWitnessError(FailureStage.NO_STEP3_WITNESS)
     i2 = int(hits[0])
-    n = int(post[plain[i2]])
+    n = int(post[plain_digits.packed[i2]])
     i, j = next(pair for k, pair in enumerate(PAIRS) if SEPARATING_PAIRS[n] >> k & 1)
     bases = (n >> 4, (n >> 2) & 3, n & 3)
-    c = (cipher_digits.r[i2], cipher_digits.g[i2], cipher_digits.b[i2])
+    m = int(cipher_digits.packed[i2])
+    digits = (m >> 4, (m >> 2) & 3, m & 3)
     class_a = DECODE[RuleClass.A.rules[0] - 1]
     expected_a = int(class_a[bases[i]]) ^ int(class_a[bases[j]])
-    xor = int(c[i]) ^ int(c[j])
+    xor = digits[i] ^ digits[j]
     if xor == expected_a:
         return RuleClass.A, i2
     if xor == 3 - expected_a:
@@ -195,15 +195,12 @@ def recover_k2_class(
     )
 
 
-def recover_equivalent_key(
-    plain: RgbImage, cipher: RgbImage, cross_check: bool = False
-) -> AttackReport:
+def recover_equivalent_key(plain: RgbImage, cipher: RgbImage) -> AttackReport:
     """Run all four stages on one known (plain, cipher) pair.
 
     On success the report carries the equivalent key; any missing witness
-    aborts with a stage tag instead of guessing.  With `cross_check`, the
-    per-position rules are re-derived from the g and b channels as well and
-    must agree (one bijection serves all three channels).
+    aborts with a stage tag instead of guessing.  A position whose plain and
+    cipher triples no rule of the recovered class links raises ValueError.
     """
     _check_geometry(plain, cipher)
     pd = image_to_digits(plain)
@@ -218,16 +215,11 @@ def recover_equivalent_key(
         report.failure_stage = err.stage
         return report
 
-    # Stage 4: every position now determines its rule from the r channel.
-    post = ADDITION_TABLES[k1 - 1][pack_planes(pd.r, pd.g, pd.b)]
-    ci = class_index(report.k2_class)
-    h = RULE_FROM_PAIR[ci, post >> 4, cd.r]
-    if cross_check:
-        others = (((post >> 2) & 3, cd.g), (post & 3, cd.b))
-        if not all(np.array_equal(h, RULE_FROM_PAIR[ci, n, d]) for n, d in others):
-            raise ValueError(
-                "channel rule derivations disagree; not a genuine pair"
-            )
+    # Stage 4: every position's (plain, cipher) triple pair names its rule.
+    table = RULE_TABLES[k1 - 1, class_index(report.k2_class)].ravel()
+    h = table[(pd.packed.astype(np.uint16) << 6) | cd.packed]
+    if not h.all():
+        raise ValueError("channel rule derivations disagree; not a genuine pair")
     report.recovered = EquivalentKey(k1, h, plain.width, plain.height)
     return report
 

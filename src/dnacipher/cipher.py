@@ -1,9 +1,10 @@
 """The cipher: one per-position rule-table kernel for encryption and
-decryption, plus byte<->digit planes.
+decryption, on packed digit triples.
 
 Images are held in raster order.  Each channel byte expands to four base-4
 digits (most significant first), so an L-pixel image has 4L digit positions,
-each holding an (r, g, b) digit triple.  Steps (c)-(e) (complement by z_i,
+each holding an (r, g, b) digit triple packed as r<<4 | g<<2 | b; only
+`pack_triples` builds them from bytes.  Steps (c)-(e) (complement by z_i,
 decode under k2, XOR with t_i) collapse into one decoding rule
 h_i = COMPOSED[z_i, k2 - 1, t_i] per position, so encryption is a single
 lookup per position in an 8x64 table chosen by k1: row h_i - 1, column the
@@ -13,7 +14,8 @@ same packed lookup to re-encrypt every flipped image in full, a chunk of
 images at a time.
 
 Steps (a)-(b) (encode under k1, chained addition) are derived once, in
-ADDITION_TABLES; the encryption tables and the attack's stages 2-4 read it.
+ADDITION_TABLES; the encryption tables and the attack's stages 2-3 read it.
+The attack's stage 4 reads h_i from RULE_TABLES, their inverse per rule class.
 The literal five-step pipeline lives in the test suite, as the reference.
 """
 
@@ -29,7 +31,9 @@ from .dna import (
     DECODE,
     ENCODE,
     bytes_to_digits,
+    class_index,
     composed_rules,
+    rule_class,
 )
 from .keystream import Keystreams, SecretKey, keystreams
 
@@ -68,40 +72,39 @@ class RgbImage:
 
 @dataclass(eq=False)
 class DigitImage:
-    """Per-channel base-4 digit planes of length 4L."""
+    """An image's 4L packed digit triples r<<4 | g<<2 | b, one per digit
+    position, in the order pack_triples gives them."""
 
     width: int
     height: int
-    r: np.ndarray
-    g: np.ndarray
-    b: np.ndarray
+    packed: np.ndarray
 
     def __post_init__(self):
         n = 4 * self.width * self.height
-        for plane in (self.r, self.g, self.b):
-            if plane.shape != (n,):
-                raise ValueError(f"digit planes must have length {n}")
+        if self.packed.shape != (n,) or self.packed.dtype != np.uint8:
+            raise ValueError(f"packed digit triples must be {n} uint8 entries")
+        if (self.packed >= 64).any():
+            raise ValueError("packed digit triples must be below 64")
 
+    @property
+    def r(self) -> np.ndarray:
+        return self.packed >> 4
 
-def digits_to_bytes(digits: np.ndarray) -> np.ndarray:
-    return (digits[0::4] << 6) | (digits[1::4] << 4) | (digits[2::4] << 2) | digits[3::4]
+    @property
+    def g(self) -> np.ndarray:
+        return (self.packed >> 2) & 3
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.packed & 3
 
 
 def image_to_digits(img: RgbImage) -> DigitImage:
-    return DigitImage(
-        img.width,
-        img.height,
-        r=bytes_to_digits(img.pixels[:, 0]),
-        g=bytes_to_digits(img.pixels[:, 1]),
-        b=bytes_to_digits(img.pixels[:, 2]),
-    )
+    return DigitImage(img.width, img.height, pack_triples(img.pixels))
 
 
 def digits_to_image(d: DigitImage) -> RgbImage:
-    pixels = np.stack(
-        [digits_to_bytes(d.r), digits_to_bytes(d.g), digits_to_bytes(d.b)], axis=1
-    )
-    return RgbImage(d.width, d.height, pixels)
+    return RgbImage(d.width, d.height, unpack_triples(d.packed))
 
 
 # A packed triple is one digit position's (r, g, b) digits as r<<4 | g<<2 | b.
@@ -130,6 +133,14 @@ def _build_rule_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ENCRYPT_TABLES[k1 - 1, h - 1, packed plain triple] -> packed cipher triple
 # (that triple decoded under h); DECRYPT_TABLES holds the inverse of every row.
 ADDITION_TABLES, ENCRYPT_TABLES, DECRYPT_TABLES = _build_rule_tables()
+
+# RULE_TABLES[k1 - 1, class index, packed plain, packed cipher] -> the rule h
+# of that class with ENCRYPT_TABLES[k1 - 1, h - 1, plain] == cipher, or 0 if
+# none (unique: a class's rules send any base to four distinct digits).
+RULE_TABLES = np.zeros((8, 2, 64, 64), dtype=np.uint8)
+_k1, _plain = np.indices((8, 64))
+for _h in range(1, 9):
+    RULE_TABLES[_k1, class_index(rule_class(_h)), _plain, ENCRYPT_TABLES[:, _h - 1]] = _h
 
 # Bit k of EQUAL_PAIRS[p] (SEPARATING_PAIRS[p]) is set when components PAIRS[k]
 # of packed digit or base triple p are equal (distinct, non-complementary).
@@ -216,26 +227,22 @@ def apply_rules(table: np.ndarray, h: np.ndarray, pixels: np.ndarray) -> np.ndar
     return out
 
 
-def _streams_for(img: RgbImage, key: SecretKey, streams: Keystreams | None) -> Keystreams:
+def _run_cipher(tables, img: RgbImage, key: SecretKey, streams: Keystreams | None) -> RgbImage:
     if streams is None:
-        return keystreams(key, img.pixel_count)
-    if streams.pixel_count != img.pixel_count:
+        streams = keystreams(key, img.pixel_count)
+    elif streams.pixel_count != img.pixel_count:
         raise ValueError("injected keystreams do not match the image size")
-    return streams
+    h = composed_rules(streams.z, key.k2, streams.t)
+    pixels = apply_rules(tables[key.k1 - 1], h, img.pixels)
+    return RgbImage(img.width, img.height, pixels)
 
 
 def encrypt(img: RgbImage, key: SecretKey, streams: Keystreams | None = None) -> RgbImage:
     """Encrypt with the rule-table kernel.  `streams` bypasses the logistic
     map (test hook / keystream reuse); rules still come from `key`."""
-    ks = _streams_for(img, key, streams)
-    h = composed_rules(ks.z, key.k2, ks.t)
-    pixels = apply_rules(ENCRYPT_TABLES[key.k1 - 1], h, img.pixels)
-    return RgbImage(img.width, img.height, pixels)
+    return _run_cipher(ENCRYPT_TABLES, img, key, streams)
 
 
 def decrypt(img: RgbImage, key: SecretKey, streams: Keystreams | None = None) -> RgbImage:
     """Exact inverse of encrypt for the same key (and injected streams)."""
-    ks = _streams_for(img, key, streams)
-    h = composed_rules(ks.z, key.k2, ks.t)
-    pixels = apply_rules(DECRYPT_TABLES[key.k1 - 1], h, img.pixels)
-    return RgbImage(img.width, img.height, pixels)
+    return _run_cipher(DECRYPT_TABLES, img, key, streams)

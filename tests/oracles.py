@@ -5,9 +5,11 @@ dict-based, re-transcribed from the printed tables, so it shares no code (and
 no transcription) with the package's vectorised lookup paths.  That section
 holds the literal five-step pipeline: one vectorised function per cipher step
 over the package's `dna` tables, chained into whole-image encryption and
-decryption, plus the per-trial avalanche loop.  These are the references the
-rule-table kernel and the batched avalanche are checked against; the package
-itself never runs the steps one by one.
+decryption, plus the per-trial avalanche loop.  It splits images into its own
+per-channel digit planes, so it shares no code with the package's packed
+digit triples.  These are the references the rule-table kernel and the
+batched avalanche are checked against; the package itself never runs the
+steps one by one.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dnacipher.cipher import DigitImage, RgbImage, digits_to_image, image_to_digits
-from dnacipher.dna import ADD, COMPLEMENT, DECODE, ENCODE, SUB, check_rule
+from dnacipher.cipher import RgbImage
+from dnacipher.dna import ADD, COMPLEMENT, DECODE, ENCODE, SUB, bytes_to_digits, check_rule
 
 # Digit -> base character per rule (string position = digit).
 RULES = {
@@ -213,6 +215,40 @@ def enumerate_flip_footprints():
 
 
 @dataclass(eq=False)
+class DigitPlanes:
+    """Per-channel base-4 digit planes of length 4L."""
+
+    width: int
+    height: int
+    r: np.ndarray
+    g: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        n = 4 * self.width * self.height
+        for plane in (self.r, self.g, self.b):
+            if plane.shape != (n,):
+                raise ValueError(f"digit planes must have length {n}")
+
+
+def digits_to_bytes(digits: np.ndarray) -> np.ndarray:
+    return (digits[0::4] << 6) | (digits[1::4] << 4) | (digits[2::4] << 2) | digits[3::4]
+
+
+def split_planes(img: RgbImage) -> DigitPlanes:
+    """An image's digit planes, one channel at a time."""
+    planes = (bytes_to_digits(img.pixels[:, c]) for c in range(3))
+    return DigitPlanes(img.width, img.height, *planes)
+
+
+def join_planes(d: DigitPlanes) -> RgbImage:
+    pixels = np.stack(
+        [digits_to_bytes(d.r), digits_to_bytes(d.g), digits_to_bytes(d.b)], axis=1
+    )
+    return RgbImage(d.width, d.height, pixels)
+
+
+@dataclass(eq=False)
 class DnaTriples:
     """Per-channel base sequences of length 4L (internal base codes)."""
 
@@ -223,16 +259,16 @@ class DnaTriples:
     b: np.ndarray
 
 
-def encode_image(d: DigitImage, rule: int) -> DnaTriples:
+def encode_image(d: DigitPlanes, rule: int) -> DnaTriples:
     """Step (a): map digit planes to base sequences under one rule."""
     row = ENCODE[check_rule(rule) - 1]
     return DnaTriples(d.width, d.height, row[d.r], row[d.g], row[d.b])
 
 
-def decode_image(n: DnaTriples, rule: int) -> DigitImage:
+def decode_image(n: DnaTriples, rule: int) -> DigitPlanes:
     """Step (d): map base sequences back to digit planes under one rule."""
     row = DECODE[check_rule(rule) - 1]
-    return DigitImage(n.width, n.height, row[n.r], row[n.g], row[n.b])
+    return DigitPlanes(n.width, n.height, row[n.r], row[n.g], row[n.b])
 
 
 def addition_step(d: DnaTriples) -> DnaTriples:
@@ -265,23 +301,23 @@ def complement_step(n: DnaTriples, z: np.ndarray) -> DnaTriples:
     )
 
 
-def mask_step(d: DigitImage, t: np.ndarray) -> DigitImage:
+def mask_step(d: DigitPlanes, t: np.ndarray) -> DigitPlanes:
     """Step (e): XOR every channel digit with the mask digit (self-inverse)."""
     if t.shape != d.r.shape:
         raise ValueError("mask length must match the digit planes")
-    return DigitImage(d.width, d.height, d.r ^ t, d.g ^ t, d.b ^ t)
+    return DigitPlanes(d.width, d.height, d.r ^ t, d.g ^ t, d.b ^ t)
 
 
 def pipeline_encrypt(img, key, streams):
-    n = addition_step(encode_image(image_to_digits(img), key.k1))
+    n = addition_step(encode_image(split_planes(img), key.k1))
     masked = mask_step(decode_image(complement_step(n, streams.z), key.k2), streams.t)
-    return digits_to_image(masked)
+    return join_planes(masked)
 
 
 def pipeline_decrypt(img, key, streams):
-    n = encode_image(mask_step(image_to_digits(img), streams.t), key.k2)
+    n = encode_image(mask_step(split_planes(img), streams.t), key.k2)
     plain = decode_image(inverse_addition_step(complement_step(n, streams.z)), key.k1)
-    return digits_to_image(plain)
+    return join_planes(plain)
 
 
 def avalanche_reference(img, key, trials: int, seed: int = 0):
@@ -291,7 +327,7 @@ def avalanche_reference(img, key, trials: int, seed: int = 0):
     from dnacipher.keystream import keystreams
 
     def planes(image):
-        d = image_to_digits(pipeline_encrypt(image, key, streams))
+        d = split_planes(pipeline_encrypt(image, key, streams))
         return np.stack([d.r, d.g, d.b])
 
     streams = keystreams(key, img.pixel_count)

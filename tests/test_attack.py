@@ -270,7 +270,7 @@ def test_recover_k2_class_matches_key_class():
 
 def test_recover_equivalent_key_success(true_key, natural_64, natural_64_second):
     cipher = encrypt(natural_64, true_key)
-    report = recover_equivalent_key(natural_64, cipher, cross_check=True)
+    report = recover_equivalent_key(natural_64, cipher)
     assert report.failure_stage is None
     assert report.recovered is not None
     assert report.recovered.k1 == 1
@@ -288,13 +288,25 @@ def test_recover_equivalent_key_success(true_key, natural_64, natural_64_second)
     assert equivalent_decrypt(second_cipher, report.recovered) == natural_64_second
 
 
+def test_tampered_g_digit_is_not_a_genuine_pair(true_key, natural_64):
+    # one g-channel cipher digit changed, the r channel untouched: the r
+    # channel alone still names a rule there, but no rule maps the triple
+    cipher = encrypt(natural_64, true_key)
+    assert recover_equivalent_key(natural_64, cipher).recovered is not None
+    pixels = cipher.pixels.copy()
+    pixels[-1, 1] ^= 1  # last digit of the last pixel's G byte
+    tampered = RgbImage(cipher.width, cipher.height, pixels)
+    with pytest.raises(ValueError, match="channel rule derivations disagree"):
+        recover_equivalent_key(natural_64, tampered)
+
+
 def test_recovered_key_matches_true_decryption_broadly():
     rng = np.random.default_rng(15)
     for trial in range(12):
         key = random_key(rng)
         plain = natural_image(16, 16, seed=200 + trial)
         cipher = encrypt(plain, key)
-        report = recover_equivalent_key(plain, cipher, cross_check=True)
+        report = recover_equivalent_key(plain, cipher)
         assert report.failure_stage is None, (key, report.failure_stage)
         ks = keystreams(key, plain.pixel_count)
         assert np.array_equal(report.recovered.h, oracles.composed_stream(ks.z, key.k2, ks.t))

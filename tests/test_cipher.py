@@ -24,16 +24,18 @@ from dnacipher.cipher import (
     ADDITION_TABLES,
     DECRYPT_TABLES,
     ENCRYPT_TABLES,
+    RULE_TABLES,
     apply_rules,
     pack_planes,
     pack_triples,
     unpack_triples,
 )
-from dnacipher.dna import composed_rules
+from dnacipher.dna import bytes_to_digits, class_index, composed_rules, rule_class
 from dnacipher.keystream import keystreams, random_key
 
 import oracles
 from oracles import (
+    DigitPlanes,
     DnaTriples,
     addition_step,
     complement_step,
@@ -68,13 +70,15 @@ def image_from_bytes(width, height, flat):
 
 
 def test_byte_digit_examples():
-    from dnacipher.cipher import bytes_to_digits, digits_to_bytes
-
     assert bytes_to_digits(np.array([228], dtype=np.uint8)).tolist() == [3, 2, 1, 0]
     assert bytes_to_digits(np.array([0], dtype=np.uint8)).tolist() == [0, 0, 0, 0]
     assert bytes_to_digits(np.array([255], dtype=np.uint8)).tolist() == [3, 3, 3, 3]
-    assert digits_to_bytes(np.array([0, 3, 2, 1], dtype=np.uint8)).tolist() == [57]
-    assert digits_to_bytes(np.array([0, 0, 0, 0], dtype=np.uint8)).tolist() == [0]
+    # the same examples through the packed triples: r carries the digits
+    for digits, byte in (([0, 3, 2, 1], 57), ([0, 0, 0, 0], 0)):
+        packed = np.array(digits, dtype=np.uint8) << 4
+        assert digits_to_image(DigitImage(1, 1, packed)).pixels.tolist() == [[byte, 0, 0]]
+    d = image_to_digits(image_from_bytes(1, 1, [228, 0, 255]))
+    assert (d.r.tolist(), d.g.tolist(), d.b.tolist()) == ([3, 2, 1, 0], [0] * 4, [3] * 4)
 
 
 def test_image_digit_roundtrip():
@@ -84,8 +88,30 @@ def test_image_digit_roundtrip():
         assert digits_to_image(image_to_digits(img)) == img
 
 
+def test_image_to_digits_matches_oracle_planes():
+    rng = np.random.default_rng(9)
+    for width, height in ((1, 1), (5, 3), (16, 9)):
+        img = RgbImage(width, height, rng.integers(0, 256, (width * height, 3), dtype=np.uint8))
+        d, planes = image_to_digits(img), oracles.split_planes(img)
+        for got, want in ((d.r, planes.r), (d.g, planes.g), (d.b, planes.b)):
+            assert np.array_equal(got, want)
+        assert oracles.join_planes(planes) == img
+
+
+def test_digit_image_rejects_bad_packed_triples():
+    DigitImage(1, 1, np.full(4, 63, dtype=np.uint8))
+    for packed in (
+        np.array([0, 0, 64, 0], dtype=np.uint8),
+        np.array([255, 0, 0, 0], dtype=np.uint8),
+        np.zeros(3, dtype=np.uint8),
+        np.zeros(4, dtype=np.int64),
+    ):
+        with pytest.raises(ValueError):
+            DigitImage(1, 1, packed)
+
+
 def test_encode_image_rules():
-    d = DigitImage(3, 1, *(np.array(v, dtype=np.uint8) for v in ([0] * 12, [1] * 12, [2] * 12)))
+    d = DigitPlanes(3, 1, *(np.array(v, dtype=np.uint8) for v in ([0] * 12, [1] * 12, [2] * 12)))
     under1 = encode_image(d, 1)
     assert (under1.r[0], under1.g[0], under1.b[0]) == (Base.A, Base.C, Base.G)
     under7 = encode_image(d, 7)
@@ -128,8 +154,8 @@ def test_complement_step():
 
 
 def test_mask_step():
-    d = DigitImage(1, 1, *(np.array(v, dtype=np.uint8) for v in
-                           ([1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0])))
+    d = DigitPlanes(1, 1, *(np.array(v, dtype=np.uint8) for v in
+                            ([1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0])))
     t = np.array([3, 0, 0, 0], dtype=np.uint8)
     out = mask_step(d, t)
     assert (out.r[0], out.g[0], out.b[0]) == (2, 1, 0)
@@ -229,17 +255,19 @@ def test_position_locality_single_digit():
     img = RgbImage(4, 4, rng.integers(0, 256, (16, 3), dtype=np.uint8))
     key = SecretKey(2, 5, 0.43, 3.74, 0.87, 3.88)
     ks = keystreams(key, 16)
-    base = image_to_digits(encrypt(img, key, ks))
+    base = oracles.split_planes(encrypt(img, key, ks))
     for trial in range(40):
         pos = int(rng.integers(64))
         channel = int(rng.integers(3))
-        mutated = image_to_digits(img)
+        mutated = oracles.split_planes(img)
         plane = (mutated.r, mutated.g, mutated.b)[channel]
         plane[pos] ^= int(rng.integers(1, 4))
-        out = image_to_digits(encrypt(digits_to_image(mutated), key, ks))
+        out = oracles.split_planes(encrypt(oracles.join_planes(mutated), key, ks))
+        changed = set()
         for p_base, p_out in ((base.r, out.r), (base.g, out.g), (base.b, out.b)):
-            changed = np.flatnonzero(p_base != p_out)
-            assert np.all(changed == pos) or changed.size == 0
+            changed.update(np.flatnonzero(p_base != p_out).tolist())
+        # one position's bijection: the changed triple changes, nothing else
+        assert changed == {pos}
 
 
 def test_equality_pattern_transparency_exhaustive():
@@ -359,6 +387,22 @@ def test_packed_triples_roundtrip_and_digit_order():
     packed = pack_triples(pixels)
     assert packed.shape == (3, 40)
     assert np.array_equal(unpack_triples(packed), pixels)
-    d = image_to_digits(RgbImage(10, 1, pixels[1]))
+    d = oracles.split_planes(RgbImage(10, 1, pixels[1]))
     assert np.array_equal(packed[1], (d.r << 4) | (d.g << 2) | d.b)
     assert np.array_equal(pack_planes(d.r, d.g, d.b), packed[1])
+
+
+def test_rule_tables_invert_scalar_oracle_exhaustive():
+    # every (k1, k2, z, t) and plaintext triple: the entry at the oracle's
+    # cipher triple is the oracle's composed rule
+    for k1, k2, z, t in itertools.product(range(1, 9), range(1, 9), (0, 1), range(4)):
+        table = RULE_TABLES[k1 - 1, class_index(rule_class(k2))]
+        for r, g, b in itertools.product(range(4), repeat=3):
+            cr, cg, cb = oracles.encrypt_position(r, g, b, k1, k2, z, t)
+            got = table[(r << 4) | (g << 2) | b, (cr << 4) | (cg << 2) | cb]
+            assert got == oracles.COMPOSED_TABLE[(z, k2, t)]
+    # each (k1, class, plain) row holds each rule of the class exactly once
+    for ci, rules in enumerate(((1, 3, 6, 8), (2, 4, 5, 7))):
+        rows = RULE_TABLES[:, ci]
+        assert np.array_equal((rows != 0).sum(axis=-1), np.full((8, 64), 4))
+        assert np.array_equal(np.sort(rows, axis=-1)[..., -4:], np.broadcast_to(rules, (8, 64, 4)))

@@ -95,6 +95,23 @@ def test_attack_and_eqdecrypt_flow(workdir, capsys):
     assert (workdir / "other_rec.ppm").read_bytes() == (workdir / "other.ppm").read_bytes()
 
 
+def test_attack_rejects_mismatched_pair(workdir, capsys):
+    # plaintext A with the ciphertext of image B under the same key
+    key_path = workdir / "k.key"
+    write_key(key_path, TRUE_KEY)
+    write_image(workdir / "a.ppm", natural_image(48, 48, seed=52))
+    write_image(workdir / "b.ppm", natural_image(48, 48, seed=53))
+    main(["encrypt", "--key", str(key_path), "--in", str(workdir / "b.ppm"),
+          "--out", str(workdir / "b_c.ppm")])
+    capsys.readouterr()
+    code = main(["attack", "--plain", str(workdir / "a.ppm"),
+                 "--cipher", str(workdir / "b_c.ppm"),
+                 "--out", str(workdir / "e.eqk")])
+    assert code == 1
+    assert not (workdir / "e.eqk").exists()
+    assert "not a genuine pair" in capsys.readouterr().err
+
+
 def test_attack_failure_exit_code(workdir, capsys):
     key_path = workdir / "k.key"
     write_key(key_path, TRUE_KEY)
