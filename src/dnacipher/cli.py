@@ -29,7 +29,13 @@ from .attack import (
     recover_equivalent_key,
 )
 from .cipher import RgbImage, decrypt, encrypt
-from .keystream import SecretKey, format_key_text, parse_key_text, random_key
+from .keystream import (
+    KeystreamDegenerationError,
+    SecretKey,
+    format_key_text,
+    parse_key_text,
+    random_key,
+)
 from .ppm import read_ppm, write_ppm
 
 EXIT_OK = 0
@@ -251,7 +257,7 @@ def main(argv=None) -> int:
     except CliError as err:
         sys.stderr.write(f"dnacipher: {err}\n")
         return err.code
-    except ValueError as err:
+    except (ValueError, KeystreamDegenerationError) as err:
         sys.stderr.write(f"dnacipher: {err}\n")
         return EXIT_BAD_INPUT
     except OSError as err:

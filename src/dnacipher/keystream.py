@@ -3,6 +3,9 @@ digits t_i, plus secret keys and their six-line text format.
 
 All chaotic iteration is IEEE-754 binary64 with the fixed association
 (mu * x) * (1 - x), so ciphertexts are bit-reproducible across platforms.
+The orbit is evaluated step by step on Python floats, in a generator
+unrolled four steps per pass that np.fromiter drains into one float64 array;
+the check that it stays inside (0, 1) runs on the finished orbit.
 """
 
 from __future__ import annotations
@@ -82,19 +85,38 @@ class Keystreams:
 
 def logistic_orbit(x0: float, mu: float, n: int) -> np.ndarray:
     """First n iterates of x -> (mu*x)*(1-x) starting from x0 (x0 itself is
-    not emitted, and there is no burn-in discard)."""
+    not emitted, and there is no burn-in discard).
+
+    The whole orbit is computed first and checked afterwards: if it leaves
+    (0, 1), KeystreamDegenerationError names the first step outside.  Float
+    arithmetic raises nothing past an escape (1.0 maps to 0.0, a fixed
+    point), so that step and its value are the ones a per-step check sees.
+    """
     check_logistic_params(x0, mu)
     if n < 0:
         raise ValueError("orbit length must be non-negative")
-    out = np.empty(n, dtype=np.float64)
-    x = x0
-    for i in range(n):
-        x = (mu * x) * (1.0 - x)
-        if not 0.0 < x < 1.0:
-            raise KeystreamDegenerationError(
-                f"orbit escaped (0, 1) at step {i + 1}: {x!r}"
-            )
-        out[i] = x
+
+    def steps(x):
+        # Unrolled x4: one loop test and one jump per four iterates.
+        for _ in range(n >> 2):
+            a = (mu * x) * (1.0 - x)
+            yield a
+            b = (mu * a) * (1.0 - a)
+            yield b
+            c = (mu * b) * (1.0 - b)
+            yield c
+            x = (mu * c) * (1.0 - c)
+            yield x
+        for _ in range(n & 3):
+            x = (mu * x) * (1.0 - x)
+            yield x
+
+    out = np.fromiter(steps(x0), dtype=np.float64, count=n)
+    if n and not (out.min() > 0.0 and out.max() < 1.0):
+        i = int(np.argmax(~((out > 0.0) & (out < 1.0))))
+        raise KeystreamDegenerationError(
+            f"orbit escaped (0, 1) at step {i + 1}: {float(out[i])!r}"
+        )
     return out
 
 

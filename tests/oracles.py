@@ -21,6 +21,7 @@ import numpy as np
 
 from dnacipher.cipher import RgbImage
 from dnacipher.dna import ADD, COMPLEMENT, DECODE, ENCODE, SUB, bytes_to_digits, check_rule
+from dnacipher.keystream import KeystreamDegenerationError, check_logistic_params
 
 # Digit -> base character per rule (string position = digit).
 RULES = {
@@ -209,6 +210,27 @@ def enumerate_flip_footprints():
                     max_digits[channel] = max(max_digits[channel], len(changed))
                     max_bits[channel] = max(max_bits[channel], bits)
     return {c: (union[c], max_digits[c], max_bits[c]) for c in range(3)}
+
+
+# --- Reference orbit: one logistic step per loop pass, checked in the loop. ---
+
+
+def orbit_reference(x0: float, mu: float, n: int) -> np.ndarray:
+    """First n iterates of x -> (mu*x)*(1-x) starting from x0 (x0 itself is
+    not emitted, and there is no burn-in discard)."""
+    check_logistic_params(x0, mu)
+    if n < 0:
+        raise ValueError("orbit length must be non-negative")
+    out = np.empty(n, dtype=np.float64)
+    x = x0
+    for i in range(n):
+        x = (mu * x) * (1.0 - x)
+        if not 0.0 < x < 1.0:
+            raise KeystreamDegenerationError(
+                f"orbit escaped (0, 1) at step {i + 1}: {x!r}"
+            )
+        out[i] = x
+    return out
 
 
 # --- Reference pipeline: the five cipher steps, chained literally. ---

@@ -112,6 +112,29 @@ def test_attack_rejects_mismatched_pair(workdir, capsys):
     assert "not a genuine pair" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["encrypt", "decrypt", "avalanche", "keyleak"])
+def test_escaping_key_is_bad_input(workdir, capsys, command):
+    # mu < 4 passes validation, but the first iterate rounds to exactly 1.0
+    key_path = workdir / "k.key"
+    key_path.write_text(
+        "k1=1\nk2=1\nx0=0.4999999999417924\nmu0=3.9999999999999996\nx0p=0.3\nmu0p=3.7\n",
+        encoding="utf-8",
+    )
+    write_image(workdir / "p.ppm", natural_image(4, 4, seed=54))
+    out = workdir / "out"
+    args = {
+        "encrypt": ["--key", str(key_path), "--in", str(workdir / "p.ppm"), "--out", str(out)],
+        "decrypt": ["--key", str(key_path), "--in", str(workdir / "p.ppm"), "--out", str(out)],
+        "avalanche": ["--key", str(key_path), "--in", str(workdir / "p.ppm"),
+                      "--trials", "3", "--report", str(out)],
+        "keyleak": ["--truekey", str(key_path), "--wrongkey", str(key_path),
+                    "--plain", str(workdir / "p.ppm"), "--report", str(out)],
+    }[command]
+    assert main([command, *args]) == 1
+    assert capsys.readouterr().err == "dnacipher: orbit escaped (0, 1) at step 1: 1.0\n"
+    assert not out.exists()
+
+
 def test_attack_failure_exit_code(workdir, capsys):
     key_path = workdir / "k.key"
     write_key(key_path, TRUE_KEY)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from dnacipher.keystream import (
+    KeystreamDegenerationError,
     Keystreams,
     SecretKey,
     bits_from_states,
@@ -19,6 +20,20 @@ from dnacipher.keystream import (
     t_sequence,
     z_sequence,
 )
+from oracles import orbit_reference
+
+# mu < 4, so SecretKey accepts it, yet the first iterate of 0.4999999999417924
+# rounds to exactly 1.0.
+ESCAPE_MU = 3.9999999999999996
+# Under ESCAPE_MU, x0 -> the step at which its orbit first reaches 1.0.  Each
+# starting point after the first lands on the one before it after one step.
+ESCAPE_STARTS = {
+    0.4999999999417924: 1,
+    0.1464466093861467: 2,
+    0.03806023373878785: 3,
+    0.009607359796965309: 4,
+    0.0024076366635449875: 5,
+}
 
 
 def orbit_oracle(x0, mu, n):
@@ -56,9 +71,47 @@ def test_orbit_matches_high_precision_oracle():
 @given(
     x0=st.floats(min_value=1e-9, max_value=1 - 1e-9),
     mu=st.floats(min_value=3.5699451, max_value=3.9999999),
+    n=st.integers(min_value=0, max_value=13),
 )
-def test_orbit_matches_oracle_elsewhere(x0, mu):
-    assert logistic_orbit(x0, mu, 10).tolist() == orbit_oracle(x0, mu, 10)
+def test_orbit_matches_oracle_elsewhere(x0, mu, n):
+    assert logistic_orbit(x0, mu, n).tolist() == orbit_oracle(x0, mu, n)
+
+
+@pytest.mark.parametrize("n", [*range(10), 4 * 4099 + 3])
+@pytest.mark.parametrize("x0,mu", [(0.501, 3.81), (0.001, 3.99), (0.9999, 3.57), (0.3, 3.9999999)])
+def test_orbit_matches_reference_loop(x0, mu, n):
+    got = logistic_orbit(x0, mu, n)
+    want = orbit_reference(x0, mu, n)
+    assert got.dtype == want.dtype and got.shape == want.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_streams_match_reference_loop(true_key):
+    L = 64 * 64
+    z = z_sequence(true_key.x0, true_key.mu0, L)
+    t = t_sequence(true_key.x0p, true_key.mu0p, L)
+    assert np.array_equal(z, bits_from_states(orbit_reference(true_key.x0, true_key.mu0, 4 * L)))
+    assert np.array_equal(t, mask_digits_from_states(orbit_reference(true_key.x0p, true_key.mu0p, L)))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("x0", ESCAPE_STARTS)
+def test_escape_step_matches_reference_loop(x0, n):
+    step = ESCAPE_STARTS[x0]
+    if n < step:
+        assert logistic_orbit(x0, ESCAPE_MU, n).tobytes() == orbit_reference(x0, ESCAPE_MU, n).tobytes()
+        return
+    with pytest.raises(KeystreamDegenerationError) as want:
+        orbit_reference(x0, ESCAPE_MU, n)
+    with pytest.raises(KeystreamDegenerationError) as got:
+        logistic_orbit(x0, ESCAPE_MU, n)
+    assert str(got.value) == str(want.value) == f"orbit escaped (0, 1) at step {step}: 1.0"
+
+
+def test_keystreams_raise_on_escaped_orbit():
+    key = SecretKey(1, 1, 0.4999999999417924, ESCAPE_MU, 0.3, 3.7)
+    with pytest.raises(KeystreamDegenerationError):
+        keystreams(key, 4)
 
 
 def test_orbit_stays_in_unit_interval():
