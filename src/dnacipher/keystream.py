@@ -3,14 +3,29 @@ digits t_i, plus secret keys and their six-line text format.
 
 All chaotic iteration is IEEE-754 binary64 with the fixed association
 (mu * x) * (1 - x), so ciphertexts are bit-reproducible across platforms.
-The orbit is evaluated step by step on Python floats, in a generator
-unrolled four steps per pass that np.fromiter drains into one float64 array;
-the check that it stays inside (0, 1) runs on the finished orbit.
+The orbit runs in a 10-line C loop (`_orbit.c`) that is compiled with gcc
+on first use, cached per user in `$XDG_CACHE_HOME/dnacipher` (or
+`~/.cache/dnacipher`) and loaded through ctypes after a self-check against
+the Python loop.  Where that is not possible (no gcc, an unwritable cache,
+a failed load or self-check, a machine other than x86-64 or aarch64) the
+same orbit is evaluated on Python floats, in a generator unrolled four steps
+per pass that np.fromiter drains; `orbit_backend()` says which path runs.
+Either way the arguments are checked before the loop, and the check that
+the orbit stays inside (0, 1) runs on the finished orbit.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import operator
+import os
+import platform
+import shutil
+import tempfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,18 +98,9 @@ class Keystreams:
         return self.z.size // 4
 
 
-def logistic_orbit(x0: float, mu: float, n: int) -> np.ndarray:
-    """First n iterates of x -> (mu*x)*(1-x) starting from x0 (x0 itself is
-    not emitted, and there is no burn-in discard).
-
-    The whole orbit is computed first and checked afterwards: if it leaves
-    (0, 1), KeystreamDegenerationError names the first step outside.  Float
-    arithmetic raises nothing past an escape (1.0 maps to 0.0, a fixed
-    point), so that step and its value are the ones a per-step check sees.
-    """
-    check_logistic_params(x0, mu)
-    if n < 0:
-        raise ValueError("orbit length must be non-negative")
+def _python_orbit(x0: float, mu: float, n: int) -> np.ndarray:
+    """The orbit on Python floats: the fallback, and the reference the
+    compiled kernel is checked against when it loads."""
 
     def steps(x):
         # Unrolled x4: one loop test and one jump per four iterates.
@@ -111,7 +117,135 @@ def logistic_orbit(x0: float, mu: float, n: int) -> np.ndarray:
             x = (mu * x) * (1.0 - x)
             yield x
 
-    out = np.fromiter(steps(x0), dtype=np.float64, count=n)
+    return np.fromiter(steps(x0), dtype=np.float64, count=n)
+
+
+_KERNEL_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_orbit.c")
+# -ffp-contract=off: no fused multiply-add, which would round differently.
+_KERNEL_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# Machines whose C doubles are plain binary64 (SSE2 or NEON); x87 excess
+# precision would not match the Python loop.
+_KERNEL_MACHINES = frozenset({"x86_64", "aarch64", "arm64"})
+# The self-check orbit: a chaotic one, so any rounding difference shows.
+_CHECK_X0, _CHECK_MU, _CHECK_STEPS = 0.3, 3.9999999, 1024
+
+
+class _NoKernel(Exception):
+    """Why the compiled orbit is not used; the text goes into orbit_backend()."""
+
+
+def _kernel_file(machine: str) -> str:
+    """Cache path of the compiled kernel, keyed by the source's CRC-32 (zlib
+    is loaded already; hashlib would cost an import) and the machine."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    with open(_KERNEL_SOURCE, "rb") as f:
+        digest = zlib.crc32(f.read())
+    return os.path.join(base, "dnacipher", f"orbit-{digest:08x}-{machine}.so")
+
+
+def _build_kernel(path: str) -> None:
+    """Compile the kernel to `path` through a temporary file in the same
+    directory, so a concurrent reader sees the whole library or none."""
+    import subprocess  # only on a cache miss: ~5 ms to import
+
+    gcc = shutil.which("gcc")
+    if gcc is None:
+        raise _NoKernel("no gcc on PATH")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    os.close(fd)
+    try:
+        # Output captured: a failed build must print nothing.
+        done = subprocess.run(
+            [gcc, *_KERNEL_CFLAGS, "-o", tmp, _KERNEL_SOURCE],
+            stdin=subprocess.DEVNULL, capture_output=True,
+        )
+        if done.returncode != 0:
+            raise _NoKernel(f"gcc exited with status {done.returncode}")
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+def _load_kernel():
+    """The compiled orbit as `kernel(x0, mu, n) -> float64 array`, built on
+    a cache miss and checked against the Python orbit.  Raises _NoKernel
+    when it cannot be used."""
+    machine = platform.machine()
+    if machine not in _KERNEL_MACHINES:
+        raise _NoKernel(f"unsupported machine {machine!r}")
+    try:
+        path = _kernel_file(machine)
+        cache = os.path.dirname(path)
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        st = os.stat(cache)
+        # dlopen runs code from this directory, so only we may write to it.
+        if st.st_uid != os.getuid() or st.st_mode & 0o022:
+            raise _NoKernel(f"cache directory {cache} is writable by other users")
+        if not os.path.exists(path):
+            _build_kernel(path)
+        lib = ctypes.CDLL(path)
+    except OSError as e:
+        raise _NoKernel(f"{type(e).__name__}: {e}") from None
+    try:
+        fn = lib.logistic_orbit
+    except AttributeError:
+        raise _NoKernel(f"{path} has no logistic_orbit") from None
+    fn.argtypes = (ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p)
+    fn.restype = None
+
+    def kernel(x0: float, mu: float, n: int) -> np.ndarray:
+        out = np.empty(n, dtype=np.float64)
+        fn(x0, mu, out.size, out.ctypes.data)
+        return out
+
+    got = kernel(_CHECK_X0, _CHECK_MU, _CHECK_STEPS)
+    want = _python_orbit(_CHECK_X0, _CHECK_MU, _CHECK_STEPS)
+    if got.tobytes() != want.tobytes():
+        step = int(np.argmax(got.view(np.uint64) != want.view(np.uint64))) + 1
+        raise _NoKernel(
+            f"self-check failed: the kernel differs from the Python loop at step {step}"
+        )
+    return kernel
+
+
+@functools.cache
+def _native_kernel():
+    """(kernel, "native"), or (None, "python: <reason>"); decided once per
+    process, on first use."""
+    try:
+        return _load_kernel(), "native"
+    except _NoKernel as e:
+        return None, f"python: {e}"
+
+
+def orbit_backend() -> str:
+    """Which orbit path runs: "native", or "python: <why the kernel is not
+    used>".  Loads (and on a cache miss builds) the kernel if that has not
+    happened yet in this process."""
+    return _native_kernel()[1]
+
+
+def logistic_orbit(x0: float, mu: float, n: int) -> np.ndarray:
+    """First n iterates of x -> (mu*x)*(1-x) starting from x0 (x0 itself is
+    not emitted, and there is no burn-in discard).
+
+    The orbit runs in the compiled kernel when it is available and in the
+    Python loop otherwise (see `orbit_backend`); both are binary64 with the
+    same association and give the same bits.  The arguments are checked
+    before either runs.  The whole orbit is computed first and checked
+    afterwards: if it leaves (0, 1), KeystreamDegenerationError names the
+    first step outside.  Float arithmetic raises nothing past an escape (1.0
+    maps to 0.0, a fixed point), so that step and its value are the ones a
+    per-step check sees.
+    """
+    check_logistic_params(x0, mu)
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("orbit length must be non-negative")
+    out = (_native_kernel()[0] or _python_orbit)(float(x0), float(mu), n)
     if n and not (out.min() > 0.0 and out.max() < 1.0):
         i = int(np.argmax(~((out > 0.0) & (out < 1.0))))
         raise KeystreamDegenerationError(

@@ -1,13 +1,47 @@
+import shutil
+
 import numpy as np
 import pytest
 
-from dnacipher import SecretKey
+from dnacipher import SecretKey, keystream
 from dnacipher.synth import natural_image
 
 # The fixed experiment keys used throughout: a reference key for the cipher,
 # and the mismatched key used to demonstrate the key-sensitivity leak.
 TRUE_KEY = SecretKey(1, 7, 0.501, 3.81, 0.401, 3.68)
 WRONG_KEY = SecretKey(2, 5, 0.611, 3.781, 0.301, 3.78)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def orbit_cache(tmp_path_factory):
+    """Build the compiled orbit kernel into a cache of this test run, not the
+    user's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        keystream._native_kernel.cache_clear()
+        yield
+    keystream._native_kernel.cache_clear()
+
+
+def force_python_orbit(monkeypatch):
+    """Send logistic_orbit down the Python loop, the path it takes wherever
+    the compiled kernel cannot be used."""
+    monkeypatch.setattr(keystream, "_native_kernel", lambda: (None, "python: forced"))
+
+
+def require_native_orbit():
+    """The compiled kernel must load wherever gcc is on PATH."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH: only the Python orbit can run")
+    assert keystream.orbit_backend() == "native"
+
+
+@pytest.fixture
+def orbit_path():
+    """The orbit path the test runs on: the compiled kernel here, the Python
+    loop where test_orbit_python_path.py overrides this fixture."""
+    require_native_orbit()
+    return "native"
 
 
 @pytest.fixture

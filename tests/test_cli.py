@@ -1,9 +1,13 @@
 """End-to-end CLI tests: subcommand flows, exit codes, report files."""
 
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
+import dnacipher
 from dnacipher import write_ppm
 from dnacipher.cli import main
 from dnacipher.keystream import format_key_text, parse_key_text
@@ -133,6 +137,30 @@ def test_escaping_key_is_bad_input(workdir, capsys, command):
     assert main([command, *args]) == 1
     assert capsys.readouterr().err == "dnacipher: orbit escaped (0, 1) at step 1: 1.0\n"
     assert not out.exists()
+
+
+def test_encrypt_is_silent_and_identical_on_both_orbit_paths(workdir):
+    # Separate interpreters, each with an empty kernel cache: the native run
+    # compiles the kernel, the other finds no gcc and takes the Python loop.
+    write_key(workdir / "k.key", TRUE_KEY)
+    write_image(workdir / "p.ppm", natural_image(64, 64, seed=55))
+    (workdir / "bin").mkdir()
+    src = os.path.dirname(os.path.dirname(dnacipher.__file__))
+    runs = {
+        "native": {"XDG_CACHE_HOME": str(workdir / "cache-native")},
+        "python": {"XDG_CACHE_HOME": str(workdir / "cache-python"), "PATH": str(workdir / "bin")},
+    }
+    for name, env in runs.items():
+        done = subprocess.run(
+            [sys.executable, "-m", "dnacipher", "encrypt", "--key", str(workdir / "k.key"),
+             "--in", str(workdir / "p.ppm"), "--out", str(workdir / f"{name}.ppm")],
+            env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    libs = {name: list((workdir / f"cache-{name}").rglob("*.so")) for name in runs}
+    assert len(libs["python"]) == 0
+    assert len(libs["native"]) == (shutil.which("gcc") is not None)
+    assert (workdir / "native.ppm").read_bytes() == (workdir / "python.ppm").read_bytes()
 
 
 def test_attack_failure_exit_code(workdir, capsys):

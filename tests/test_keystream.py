@@ -1,12 +1,22 @@
 """Keystream generation against a high-precision oracle, plus key parsing."""
 
+import math
+import os
+import platform
+import shutil
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from dnacipher import keystream
 from dnacipher.keystream import (
+    MU_MAX,
+    MU_MIN,
     KeystreamDegenerationError,
     Keystreams,
     SecretKey,
@@ -15,11 +25,13 @@ from dnacipher.keystream import (
     keystreams,
     logistic_orbit,
     mask_digits_from_states,
+    orbit_backend,
     parse_key_text,
     random_key,
     t_sequence,
     z_sequence,
 )
+from conftest import force_python_orbit, require_native_orbit
 from oracles import orbit_reference
 
 # mu < 4, so SecretKey accepts it, yet the first iterate of 0.4999999999417924
@@ -62,31 +74,34 @@ def test_zero_length_orbit():
     assert logistic_orbit(0.5, 3.6, 0).size == 0
 
 
-def test_orbit_matches_high_precision_oracle():
+def test_orbit_matches_high_precision_oracle(orbit_path):
     got = logistic_orbit(0.501, 3.81, 3)
     assert got.tolist() == orbit_oracle(0.501, 3.81, 3)
 
 
-@settings(max_examples=40, deadline=None)
+# The orbit_path fixture holds for every example, so its function scope is
+# what the test wants.
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     x0=st.floats(min_value=1e-9, max_value=1 - 1e-9),
     mu=st.floats(min_value=3.5699451, max_value=3.9999999),
     n=st.integers(min_value=0, max_value=13),
 )
-def test_orbit_matches_oracle_elsewhere(x0, mu, n):
+def test_orbit_matches_oracle_elsewhere(orbit_path, x0, mu, n):
     assert logistic_orbit(x0, mu, n).tolist() == orbit_oracle(x0, mu, n)
 
 
 @pytest.mark.parametrize("n", [*range(10), 4 * 4099 + 3])
 @pytest.mark.parametrize("x0,mu", [(0.501, 3.81), (0.001, 3.99), (0.9999, 3.57), (0.3, 3.9999999)])
-def test_orbit_matches_reference_loop(x0, mu, n):
+def test_orbit_matches_reference_loop(orbit_path, x0, mu, n):
     got = logistic_orbit(x0, mu, n)
     want = orbit_reference(x0, mu, n)
     assert got.dtype == want.dtype and got.shape == want.shape == (n,)
     assert got.tobytes() == want.tobytes()
 
 
-def test_streams_match_reference_loop(true_key):
+def test_streams_match_reference_loop(orbit_path, true_key):
     L = 64 * 64
     z = z_sequence(true_key.x0, true_key.mu0, L)
     t = t_sequence(true_key.x0p, true_key.mu0p, L)
@@ -96,7 +111,7 @@ def test_streams_match_reference_loop(true_key):
 
 @pytest.mark.parametrize("n", range(1, 10))
 @pytest.mark.parametrize("x0", ESCAPE_STARTS)
-def test_escape_step_matches_reference_loop(x0, n):
+def test_escape_step_matches_reference_loop(orbit_path, x0, n):
     step = ESCAPE_STARTS[x0]
     if n < step:
         assert logistic_orbit(x0, ESCAPE_MU, n).tobytes() == orbit_reference(x0, ESCAPE_MU, n).tobytes()
@@ -108,10 +123,156 @@ def test_escape_step_matches_reference_loop(x0, n):
     assert str(got.value) == str(want.value) == f"orbit escaped (0, 1) at step {step}: 1.0"
 
 
-def test_keystreams_raise_on_escaped_orbit():
+def test_keystreams_raise_on_escaped_orbit(orbit_path):
     key = SecretKey(1, 1, 0.4999999999417924, ESCAPE_MU, 0.3, 3.7)
     with pytest.raises(KeystreamDegenerationError):
         keystreams(key, 4)
+
+
+def _neighbours(v):
+    return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+
+
+# Every edge of the accepted domain, from both sides, plus the non-finite
+# values and subnormals no key file can hold but a library caller can pass.
+HOSTILE_FLOATS = st.one_of(
+    st.sampled_from(sorted(
+        {math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+         *_neighbours(0.0), *_neighbours(0.5), *_neighbours(1.0),
+         *_neighbours(MU_MIN), *_neighbours(MU_MAX)},
+        key=repr,
+    )),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=MU_MIN, max_value=MU_MAX),
+    st.floats(),
+)
+
+
+def _orbit_outcome(x0, mu, n):
+    try:
+        return logistic_orbit(x0, mu, n).tobytes()
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x0=HOSTILE_FLOATS,
+    mu=HOSTILE_FLOATS,
+    n=st.integers(min_value=0, max_value=64) | st.sampled_from([-1, 2.5, True, "3", None]),
+)
+@example(x0=0.4999999999417924, mu=3.9999999999999996, n=3)
+@example(x0=math.nextafter(1.0, 0.0), mu=math.nextafter(MU_MAX, 0.0), n=64)
+@example(x0=0.5, mu=3.7, n=2.5)
+@example(x0=0.5, mu=3.7, n=True)
+@example(x0=np.float32(0.3), mu=np.float32(3.7), n=8)  # binary64 on both paths
+def test_orbit_paths_agree_on_hostile_arguments(x0, mu, n):
+    require_native_orbit()
+    native = _orbit_outcome(x0, mu, n)
+    with pytest.MonkeyPatch.context() as mp:
+        force_python_orbit(mp)
+        python = _orbit_outcome(x0, mu, n)
+    assert native == python
+
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty kernel cache, and no kernel loaded in this process."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    keystream._native_kernel.cache_clear()
+    yield tmp_path / "cache" / "dnacipher"
+    keystream._native_kernel.cache_clear()
+
+
+def assert_python_fallback(capfd, reason):
+    got = logistic_orbit(0.501, 3.81, 1003)
+    assert got.tobytes() == keystream._python_orbit(0.501, 3.81, 1003).tobytes()
+    assert got.tobytes() == orbit_reference(0.501, 3.81, 1003).tobytes()
+    backend = orbit_backend()
+    assert backend.startswith("python: ") and reason in backend, backend
+    assert capfd.readouterr() == ("", "")
+
+
+def test_kernel_is_built_once_and_reused(fresh_cache, monkeypatch, capfd):
+    require_native_orbit()
+    [lib] = fresh_cache.glob("*.so")
+    assert fresh_cache.stat().st_mode & 0o777 == 0o700
+    before = lib.stat()
+    keystream._native_kernel.cache_clear()
+    monkeypatch.setenv("PATH", "")  # a rebuild would now fail
+    assert orbit_backend() == "native"
+    after = lib.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_fallback_without_compiler(fresh_cache, tmp_path, monkeypatch, capfd):
+    (tmp_path / "bin").mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    assert_python_fallback(capfd, "no gcc on PATH")
+    assert not list(fresh_cache.glob("*"))
+
+
+def test_fallback_when_cache_cannot_be_created(fresh_cache, capfd):
+    # The cache would live under a regular file, which no user can write into.
+    blocker = fresh_cache.parent
+    blocker.write_bytes(b"not a directory")
+    assert_python_fallback(capfd, "NotADirectoryError")
+
+
+def test_fallback_when_cache_is_shared(fresh_cache, capfd):
+    fresh_cache.mkdir(parents=True)
+    fresh_cache.chmod(0o777)
+    assert_python_fallback(capfd, "is writable by other users")
+    assert not list(fresh_cache.glob("*"))
+
+
+def test_fallback_on_corrupt_cached_library(fresh_cache, capfd):
+    path = keystream._kernel_file(platform.machine())
+    fresh_cache.mkdir(parents=True, mode=0o700)
+    with open(path, "wb") as f:
+        f.write(os.urandom(4096))
+    assert_python_fallback(capfd, "OSError")
+
+
+@pytest.mark.parametrize("body,reason", [
+    # A different association: the self-check must catch the rounding drift.
+    ("x = mu * (x * (1.0 - x));", "self-check failed"),
+    ("x = (mu * x) * (1.0 - x)", "gcc exited with status 1"),  # a syntax error
+])
+def test_fallback_on_bad_kernel(fresh_cache, tmp_path, monkeypatch, capfd, body, reason):
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    source = tmp_path / "stub.c"
+    source.write_text(
+        "#include <stdint.h>\n"
+        "void logistic_orbit(double x, double mu, int64_t n, double *out)\n"
+        f"{{ for (int64_t i = 0; i < n; i++) {{ {body} out[i] = x; }} }}\n"
+    )
+    monkeypatch.setattr(keystream, "_KERNEL_SOURCE", str(source))
+    assert_python_fallback(capfd, reason)
+
+
+def test_fallback_on_unsupported_machine(fresh_cache, monkeypatch, capfd):
+    monkeypatch.setattr(platform, "machine", lambda: "i686")
+    assert_python_fallback(capfd, "unsupported machine 'i686'")
+    assert not fresh_cache.exists()
+
+
+def test_import_loads_no_kernel(tmp_path):
+    # Importing the CLI must not build or load anything: that cost would
+    # land on every command, orbit or not.
+    src = os.path.dirname(os.path.dirname(keystream.__file__))
+    env = dict(os.environ, PYTHONPATH=src, XDG_CACHE_HOME=str(tmp_path))
+    code = (
+        "import sys, dnacipher.cli\n"
+        "from dnacipher import keystream\n"
+        "assert keystream._native_kernel.cache_info().currsize == 0\n"
+        "assert 'subprocess' not in sys.modules\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_orbit_stays_in_unit_interval():
