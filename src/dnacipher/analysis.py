@@ -13,10 +13,10 @@ import numpy as np
 
 from .cipher import (
     ENCRYPT_TABLES,
+    EQUAL_GB,
     RgbImage,
     decrypt,
     encrypt,
-    image_to_digits,
     images_per_pass,
     lookup_rules,
     pack_triples,
@@ -122,8 +122,7 @@ def detect_structure_leak(cipher: RgbImage) -> np.ndarray:
     Equals the indicator of plaintext b digits hitting the digit that k1 maps
     to C, for every key: a plaintext property readable from ciphertext alone.
     """
-    d = image_to_digits(cipher)
-    return d.g == d.b
+    return EQUAL_GB[pack_triples(cipher.pixels)]
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:

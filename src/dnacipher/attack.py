@@ -12,17 +12,19 @@ test suite:
 * composed rules never leave the rule class of k2, so one XOR observation at
   a suitable position fixes the class and makes every h_i derivable.
 
-Stages 2-3 read post-addition base triples from the cipher's ADDITION_TABLES
-and test their pairs with its per-triple bit tables.  Stage 4 reads h_i off
-RULE_TABLES, the inverse of the cipher's tables, and so rejects non-genuine
-pairs.
-
-All witness searches are read-only scans in raster order, so reports are
-deterministic and the total cost is linear in the digit count.
+Every stage's test at a position depends only on the pair index
+plain << 6 | cipher of its packed triples, so each stage is a lookup in a
+table over the 4096 indices, derived from the cipher's tables on first use.
+Stages 1-3 want one witness each, the first position in raster order that
+passes: they read the pair index in doubling chunks and stop at the first
+hit, so reports are deterministic and a witness near the start costs one
+small chunk.  Stage 4 reads h_i at every position off RULE_TABLES, the
+inverse of the cipher's tables, and so rejects non-genuine pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -41,7 +43,9 @@ from .dna import (
 from .cipher import (
     ADDITION_TABLES,
     DECRYPT_TABLES,
+    EQUAL_GB,
     EQUAL_PAIRS,
+    INDEX_BUDGET,
     PAIRS,
     RULE_TABLES,
     SEPARATING_PAIRS,
@@ -81,6 +85,8 @@ class EquivalentKey:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("equivalent-key dimensions must be positive")
         self.h = np.asarray(self.h)
+        if self.h.dtype.kind not in "iu":
+            raise ValueError(f"rule sequence must hold integers, not {self.h.dtype}")
         n = 4 * self.width * self.height
         if self.h.shape != (n,):
             raise ValueError(f"rule sequence must have length {n}")
@@ -132,15 +138,81 @@ def _check_geometry(a, b) -> None:
         )
 
 
+def _pair_index(plain_digits: DigitImage, cipher_digits: DigitImage) -> np.ndarray:
+    """Each position's pair index plain << 6 | cipher of its packed triples."""
+    _check_geometry(plain_digits, cipher_digits)
+    return (plain_digits.packed.astype(np.uint16) << 6) | cipher_digits.packed
+
+
+@functools.cache
+def _stage_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stages 1-3 at each pair index, 0 where it is no witness.  Stage 1:
+    map_c + 1 where the cipher's g and b digits are equal.  Stage 2, a row
+    per map_c: the k1 candidate (1 or 2) that alone predicts the cipher's
+    post-addition equality pattern.  Stage 3, a row per k1: where the bases
+    have a separating pair, the class (1 A, 2 B, 3 neither) its XOR shows."""
+    plain, cipher = np.divmod(np.arange(4096), 64)
+    stage1 = np.where(EQUAL_GB[cipher], (plain & 3) + 1, 0)
+    cands = np.array([k1_candidates(m) for m in range(4)]) - 1
+    patterns = EQUAL_PAIRS[ADDITION_TABLES[cands][..., plain]]
+    match = patterns == EQUAL_PAIRS[cipher]
+    witness = (patterns[:, 0] != patterns[:, 1]) & (match[:, 0] ^ match[:, 1])
+    stage2 = np.where(witness, 2 - match[:, 0], 0)
+    post = ADDITION_TABLES[:, plain]
+    separating = SEPARATING_PAIRS[post]
+    # Digit shifts of the first separating pair: bit k of `separating` is PAIRS[k].
+    si, sj = np.moveaxis(4 - 2 * np.array(PAIRS)[(separating & -separating) >> 1], -1, 0)
+    class_a = DECODE[RuleClass.A.rules[0] - 1]
+    expected = class_a[post >> si & 3] ^ class_a[post >> sj & 3]
+    xor = (cipher >> si & 3) ^ (cipher >> sj & 3)
+    stage3 = np.select([separating == 0, xor == expected, xor == 3 - expected], [0, 1, 2], 3)
+    tables = tuple(t.astype(np.uint8) for t in (stage1, stage2, stage3))
+    for t in tables:
+        t.flags.writeable = False  # the cached arrays serve every caller
+    return tables
+
+
+# Witness searches read this many positions, then twice as many, and so on up
+# to as many as keep their lookup indices within INDEX_BUDGET, in cache.
+_FIRST_CHUNK = 4096
+_LAST_CHUNK = INDEX_BUDGET // np.dtype(np.intp).itemsize
+
+
+def _first_hit(table: np.ndarray, q: np.ndarray, stage: FailureStage) -> tuple[int, int]:
+    """(entry, position) of the first nonzero table entry in raster order."""
+    start, size = 0, _FIRST_CHUNK
+    while start < q.size:
+        hit = table.take(q[start:start + size]) != 0
+        j = int(hit.argmax())
+        if hit[j]:
+            return int(table[q[start + j]]), start + j
+        start, size = start + size, min(2 * size, _LAST_CHUNK)
+    raise MissingWitnessError(stage)
+
+
+def _map_c(q: np.ndarray) -> tuple[int, int]:
+    code, i = _first_hit(_stage_tables()[0], q, FailureStage.NO_STEP1_WITNESS)
+    return code - 1, i
+
+
+def _k1(q: np.ndarray, map_c: int) -> tuple[int, int]:
+    cands = k1_candidates(map_c)
+    code, i = _first_hit(_stage_tables()[1][map_c], q, FailureStage.NO_STEP2_WITNESS)
+    return cands[code - 1], i
+
+
+def _k2_class(q: np.ndarray, k1: int) -> tuple[RuleClass, int]:
+    table = _stage_tables()[2][check_rule(k1) - 1]
+    code, i = _first_hit(table, q, FailureStage.NO_STEP3_WITNESS)
+    if code == 3:
+        raise ValueError("cipher digits inconsistent with the pipeline; not a genuine pair")
+    return (RuleClass.A, RuleClass.B)[code - 1], i
+
+
 def recover_map_c(plain_digits: DigitImage, cipher_digits: DigitImage) -> tuple[int, int]:
     """Stage 1: find a position with equal g/b cipher digits; the plaintext
     b digit there is the digit that k1 maps to C.  Returns (digit, witness)."""
-    _check_geometry(plain_digits, cipher_digits)
-    hits = np.flatnonzero(cipher_digits.g == cipher_digits.b)
-    if hits.size == 0:
-        raise MissingWitnessError(FailureStage.NO_STEP1_WITNESS)
-    i0 = int(hits[0])
-    return int(plain_digits.packed[i0]) & 3, i0
+    return _map_c(_pair_index(plain_digits, cipher_digits))
 
 
 def recover_k1(
@@ -154,16 +226,7 @@ def recover_k1(
     pattern is preserved by the per-position bijection, so it selects the
     true candidate.  Returns (k1, witness).
     """
-    _check_geometry(plain_digits, cipher_digits)
-    cands = k1_candidates(map_c)
-    observed = EQUAL_PAIRS[cipher_digits.packed]
-    patterns = [EQUAL_PAIRS[ADDITION_TABLES[c - 1]][plain_digits.packed] for c in cands]
-    matches = [p == observed for p in patterns]
-    hits = np.flatnonzero((patterns[0] != patterns[1]) & (matches[0] ^ matches[1]))
-    if hits.size == 0:
-        raise MissingWitnessError(FailureStage.NO_STEP2_WITNESS)
-    i1 = int(hits[0])
-    return (cands[0] if matches[0][i1] else cands[1]), i1
+    return _k1(_pair_index(plain_digits, cipher_digits), map_c)
 
 
 def recover_k2_class(
@@ -172,27 +235,7 @@ def recover_k2_class(
     """Stage 3: at a position where two post-addition bases are distinct and
     non-complementary, the XOR of their cipher digits is 1 or 2 and names the
     rule class of k2.  Returns (class, witness)."""
-    _check_geometry(plain_digits, cipher_digits)
-    post = ADDITION_TABLES[check_rule(k1) - 1]
-    hits = np.flatnonzero(SEPARATING_PAIRS[post][plain_digits.packed])
-    if hits.size == 0:
-        raise MissingWitnessError(FailureStage.NO_STEP3_WITNESS)
-    i2 = int(hits[0])
-    n = int(post[plain_digits.packed[i2]])
-    i, j = next(pair for k, pair in enumerate(PAIRS) if SEPARATING_PAIRS[n] >> k & 1)
-    bases = (n >> 4, (n >> 2) & 3, n & 3)
-    m = int(cipher_digits.packed[i2])
-    digits = (m >> 4, (m >> 2) & 3, m & 3)
-    class_a = DECODE[RuleClass.A.rules[0] - 1]
-    expected_a = int(class_a[bases[i]]) ^ int(class_a[bases[j]])
-    xor = digits[i] ^ digits[j]
-    if xor == expected_a:
-        return RuleClass.A, i2
-    if xor == 3 - expected_a:
-        return RuleClass.B, i2
-    raise ValueError(
-        "cipher digits inconsistent with the pipeline; not a genuine pair"
-    )
+    return _k2_class(_pair_index(plain_digits, cipher_digits), k1)
 
 
 def recover_equivalent_key(plain: RgbImage, cipher: RgbImage) -> AttackReport:
@@ -203,21 +246,20 @@ def recover_equivalent_key(plain: RgbImage, cipher: RgbImage) -> AttackReport:
     cipher triples no rule of the recovered class links raises ValueError.
     """
     _check_geometry(plain, cipher)
-    pd = image_to_digits(plain)
-    cd = image_to_digits(cipher)
+    q = _pair_index(image_to_digits(plain), image_to_digits(cipher))
     report = AttackReport()
     try:
-        report.map_c, report.step1_witness = recover_map_c(pd, cd)
+        report.map_c, report.step1_witness = _map_c(q)
         report.k1_candidates = k1_candidates(report.map_c)
-        k1, report.step2_witness = recover_k1(pd, cd, report.map_c)
-        report.k2_class, report.step3_witness = recover_k2_class(pd, cd, k1)
+        k1, report.step2_witness = _k1(q, report.map_c)
+        report.k2_class, report.step3_witness = _k2_class(q, k1)
     except MissingWitnessError as err:
         report.failure_stage = err.stage
         return report
 
     # Stage 4: every position's (plain, cipher) triple pair names its rule.
     table = RULE_TABLES[k1 - 1, class_index(report.k2_class)].ravel()
-    h = table[(pd.packed.astype(np.uint16) << 6) | cd.packed]
+    h = table[q]
     if not h.all():
         raise ValueError("channel rule derivations disagree; not a genuine pair")
     report.recovered = EquivalentKey(k1, h, plain.width, plain.height)

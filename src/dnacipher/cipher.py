@@ -149,6 +149,10 @@ EQUAL_PAIRS, SEPARATING_PAIRS = (
     sum(test(_TRIPLE[i], _TRIPLE[j]) << k for k, (i, j) in enumerate(PAIRS)).astype(np.uint8)
     for test in (np.equal, lambda x, y: (x != y) & (y != COMPLEMENT[x]))
 )
+# EQUAL_GB[p]: the g and b digits of packed triple p are equal.  On a cipher
+# triple this is the structure leak: it holds exactly where the plain b digit
+# is the one k1 maps to C, the identity of base addition.
+EQUAL_GB = (EQUAL_PAIRS >> PAIRS.index((1, 2)) & 1).astype(bool)
 
 # _SPREAD[c, byte] is a uint32 whose four memory bytes are the byte's digits,
 # most significant first, each shifted to channel c's place in a packed

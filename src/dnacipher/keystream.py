@@ -84,6 +84,8 @@ class Keystreams:
         t = np.asarray(self.t)
         if z.shape != t.shape or z.ndim != 1:
             raise ValueError("z and t must be 1-d sequences of equal length")
+        if z.dtype.kind not in "iu" or t.dtype.kind not in "iu":
+            raise ValueError(f"z and t must hold integers, not {z.dtype} and {t.dtype}")
         if z.size % 4 != 0:
             raise ValueError("keystream length must be a multiple of 4")
         if z.size and not (

@@ -9,7 +9,9 @@ decryption, plus the per-trial avalanche loop.  It splits images into its own
 per-channel digit planes, so it shares no code with the package's packed
 digit triples.  These are the references the rule-table kernel and the
 batched avalanche are checked against; the package itself never runs the
-steps one by one.
+steps one by one.  The "Reference attack" section runs attack stages 1-3 as
+full scans over every position, the reference for the package's chunked
+table searches.
 """
 
 from __future__ import annotations
@@ -19,8 +21,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dnacipher.cipher import RgbImage
-from dnacipher.dna import ADD, COMPLEMENT, DECODE, ENCODE, SUB, bytes_to_digits, check_rule
+from dnacipher.attack import (
+    AttackReport,
+    EquivalentKey,
+    FailureStage,
+    MissingWitnessError,
+    k1_candidates,
+)
+from dnacipher.cipher import (
+    ADDITION_TABLES,
+    EQUAL_PAIRS,
+    PAIRS,
+    RULE_TABLES,
+    SEPARATING_PAIRS,
+    RgbImage,
+    image_to_digits,
+)
+from dnacipher.dna import (
+    ADD,
+    COMPLEMENT,
+    DECODE,
+    ENCODE,
+    SUB,
+    RuleClass,
+    bytes_to_digits,
+    check_rule,
+    class_index,
+)
 from dnacipher.keystream import KeystreamDegenerationError, check_logistic_params
 
 # Digit -> base character per rule (string position = digit).
@@ -374,3 +401,79 @@ def avalanche_reference(img, key, trials: int, seed: int = 0):
         name = "RGB"[channel]
         footprint[name] = (max(footprint[name][0], digits), max(footprint[name][1], bits))
     return AvalancheReport(trials, violations, max_digits, max_bits, footprint)
+
+
+# --- Reference attack: stages 1-3 as full scans over every position. ---
+
+
+def reference_map_c(pd, cd):
+    """Stage 1 over all positions: the first equal g/b cipher digits."""
+    hits = np.flatnonzero(cd.g == cd.b)
+    if hits.size == 0:
+        raise MissingWitnessError(FailureStage.NO_STEP1_WITNESS)
+    i0 = int(hits[0])
+    return int(pd.packed[i0]) & 3, i0
+
+
+def reference_k1(pd, cd, map_c):
+    """Stage 2 over all positions: the first position where the candidates'
+    predicted equality patterns differ and exactly one matches."""
+    cands = k1_candidates(map_c)
+    observed = EQUAL_PAIRS[cd.packed]
+    patterns = [EQUAL_PAIRS[ADDITION_TABLES[c - 1]][pd.packed] for c in cands]
+    matches = [p == observed for p in patterns]
+    hits = np.flatnonzero((patterns[0] != patterns[1]) & (matches[0] ^ matches[1]))
+    if hits.size == 0:
+        raise MissingWitnessError(FailureStage.NO_STEP2_WITNESS)
+    i1 = int(hits[0])
+    return (cands[0] if matches[0][i1] else cands[1]), i1
+
+
+def reference_k2_class(pd, cd, k1):
+    """Stage 3 over all positions: the first position with a separating
+    post-addition pair; the XOR of its cipher digits names the class."""
+    post = ADDITION_TABLES[check_rule(k1) - 1]
+    hits = np.flatnonzero(SEPARATING_PAIRS[post][pd.packed])
+    if hits.size == 0:
+        raise MissingWitnessError(FailureStage.NO_STEP3_WITNESS)
+    i2 = int(hits[0])
+    n = int(post[pd.packed[i2]])
+    i, j = next(pair for k, pair in enumerate(PAIRS) if SEPARATING_PAIRS[n] >> k & 1)
+    bases = (n >> 4, (n >> 2) & 3, n & 3)
+    m = int(cd.packed[i2])
+    digits = (m >> 4, (m >> 2) & 3, m & 3)
+    class_a = DECODE[RuleClass.A.rules[0] - 1]
+    expected_a = int(class_a[bases[i]]) ^ int(class_a[bases[j]])
+    xor = digits[i] ^ digits[j]
+    if xor == expected_a:
+        return RuleClass.A, i2
+    if xor == 3 - expected_a:
+        return RuleClass.B, i2
+    raise ValueError(
+        "cipher digits inconsistent with the pipeline; not a genuine pair"
+    )
+
+
+def reference_attack(plain, cipher):
+    """recover_equivalent_key with the full-scan stages 1-3."""
+    if (plain.width, plain.height) != (cipher.width, cipher.height):
+        raise ValueError(
+            f"geometry mismatch: {plain.width}x{plain.height} vs "
+            f"{cipher.width}x{cipher.height}"
+        )
+    pd, cd = image_to_digits(plain), image_to_digits(cipher)
+    report = AttackReport()
+    try:
+        report.map_c, report.step1_witness = reference_map_c(pd, cd)
+        report.k1_candidates = k1_candidates(report.map_c)
+        k1, report.step2_witness = reference_k1(pd, cd, report.map_c)
+        report.k2_class, report.step3_witness = reference_k2_class(pd, cd, k1)
+    except MissingWitnessError as err:
+        report.failure_stage = err.stage
+        return report
+    table = RULE_TABLES[k1 - 1, class_index(report.k2_class)].ravel()
+    h = table[(pd.packed.astype(np.uint16) << 6) | cd.packed]
+    if not h.all():
+        raise ValueError("channel rule derivations disagree; not a genuine pair")
+    report.recovered = EquivalentKey(k1, h, plain.width, plain.height)
+    return report

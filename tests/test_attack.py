@@ -2,11 +2,17 @@
 the printed lookup tables as oracles, and end-to-end key recovery."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnacipher import (
+    DigitImage,
     EquivalentKey,
     FailureStage,
     Keystreams,
@@ -15,7 +21,9 @@ from dnacipher import (
     RuleClass,
     SecretKey,
     composed_rule,
+    attack,
     decrypt,
+    digits_to_image,
     encrypt,
     eqkey_from_bytes,
     eqkey_to_bytes,
@@ -28,8 +36,14 @@ from dnacipher import (
     recover_map_c,
 )
 from dnacipher.keystream import keystreams, random_key
-from dnacipher.cipher import EQUAL_PAIRS, SEPARATING_PAIRS
-from dnacipher.dna import composed_rules
+from dnacipher.cipher import (
+    ADDITION_TABLES,
+    ENCRYPT_TABLES,
+    EQUAL_PAIRS,
+    RULE_TABLES,
+    SEPARATING_PAIRS,
+)
+from dnacipher.dna import DECODE, Base, class_index, composed_rules, rule_class
 from dnacipher.synth import constant_image, natural_image, uniform_random_image
 
 import oracles
@@ -466,3 +480,161 @@ def test_eqkey_bytes_rejects_malformed(mutate, true_key, natural_64):
     data = eqkey_to_bytes(recover_equivalent_key(natural_64, cipher).recovered)
     with pytest.raises(ValueError):
         eqkey_from_bytes(mutate(data))
+
+
+def _outcome(attack, plain, cipher):
+    """Everything an attack run shows: the report fields and the key's bytes,
+    or the exact ValueError text."""
+    try:
+        r = attack(plain, cipher)
+    except ValueError as err:
+        return ("ValueError", str(err))
+    key = r.recovered
+    return (
+        r.map_c, r.k1_candidates, r.k2_class, r.failure_stage,
+        r.step1_witness, r.step2_witness, r.step3_witness,
+        None if key is None else (key.k1, key.width, key.height, key.h.dtype, key.h.tobytes()),
+    )
+
+
+def _sparse_image(rng, width, height):
+    """Mostly the four bytes whose digits are all equal: their digit triples
+    are often no witness at all, so witnesses land at varied positions."""
+    shape = (width * height, 3)
+    pixels = np.where(rng.random(shape) < 0.9, 85 * rng.integers(0, 4, shape),
+                      rng.integers(0, 256, shape))
+    return RgbImage(width, height, pixels.astype(np.uint8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(1, 12),
+    height=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("genuine", "mismatched", "tampered")),
+    chunk=st.sampled_from((1, 2, 3, 5, 4096)),
+    last=st.sampled_from((1, 4, 6, 1 << 17)),
+)
+def test_attack_matches_full_scan_reference(width, height, seed, kind, chunk, last):
+    # small chunks put many chunk edges inside these small images
+    rng = np.random.default_rng(seed)
+    key = random_key(rng)
+    plain = _sparse_image(rng, width, height)
+    cipher = encrypt(plain, key)
+    if kind == "mismatched":
+        cipher = encrypt(_sparse_image(rng, width, height), key)
+    elif kind == "tampered":
+        pixels = cipher.pixels.copy()
+        pixels[rng.integers(width * height), rng.integers(3)] ^= rng.integers(1, 256)
+        cipher = RgbImage(width, height, pixels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attack, "_FIRST_CHUNK", chunk)
+        mp.setattr(attack, "_LAST_CHUNK", last)
+        got = _outcome(recover_equivalent_key, plain, cipher)
+    assert got == _outcome(oracles.reference_attack, plain, cipher)
+
+
+def _late_witness_pair(k1, k2, w2, w3, width=64, height=64):
+    """A plain image whose every digit triple is (m, m, m), m the digit k1
+    maps to C: stage 1's witness is position 0 and no position is a stage-2
+    or stage-3 witness.  Position w2 then gets a triple that is a stage-2
+    witness only and w3 one that is a stage-3 witness only, or one that is
+    both if w2 == w3."""
+    m = int(DECODE[k1 - 1, Base.C])
+    cands = np.array(k1_candidates(m)) - 1
+    p = np.arange(64)
+    patterns = EQUAL_PAIRS[ADDITION_TABLES[cands][:, p]]
+    stage2 = patterns[0] != patterns[1]
+    stage3 = SEPARATING_PAIRS[ADDITION_TABLES[k1 - 1, p]] != 0
+    packed = np.full(4 * width * height, 21 * m, dtype=np.uint8)
+    packed[w2] = np.flatnonzero(stage2 & ~stage3)[0]
+    packed[w3] = np.flatnonzero(stage3 & (stage2 if w2 == w3 else ~stage2))[0]
+    plain = digits_to_image(DigitImage(width, height, packed))
+    return plain, encrypt(plain, SecretKey(k1, k2, 0.37, 3.93, 0.61, 3.71))
+
+
+# The first two chunk edges of a 64x64 image (4096 + 8192 positions), and its
+# last position.
+_EDGES = (4095, 4096, 12287, 12288, 4 * 64 * 64 - 1)
+
+
+@pytest.mark.parametrize("w2", _EDGES)
+@pytest.mark.parametrize("w3", _EDGES)
+def test_witnesses_at_chunk_edges(w2, w3):
+    k1 = 1 + (w2 + w3) % 8
+    plain, cipher = _late_witness_pair(k1, 1 + w3 % 8, w2, w3)
+    report = recover_equivalent_key(plain, cipher)
+    assert (report.step1_witness, report.step2_witness, report.step3_witness) == (0, w2, w3)
+    assert report.recovered.k1 == k1
+    assert _outcome(recover_equivalent_key, plain, cipher) == _outcome(
+        oracles.reference_attack, plain, cipher
+    )
+    # the low bit of one cipher digit of the stage-3 witness's first
+    # separating pair flipped: no class fits that XOR any more (when w2 == w3
+    # stage 2 may fail first), at the same position as in the full scan
+    separating = SEPARATING_PAIRS[ADDITION_TABLES[k1 - 1, image_to_digits(plain).packed[w3]]]
+    channel = next(i for k, (i, _) in enumerate(_PAIR_ORDER) if separating >> k & 1)
+    pixels = cipher.pixels.copy()
+    pixels[w3 // 4, channel] ^= 1 << 2 * (3 - w3 % 4)
+    tampered = RgbImage(cipher.width, cipher.height, pixels)
+    got = _outcome(recover_equivalent_key, plain, tampered)
+    assert got == _outcome(oracles.reference_attack, plain, tampered)
+    assert got[0] == "ValueError" or w2 == w3
+
+
+def test_witnesses_depend_only_on_plaintext_and_k1():
+    # Every (k1, plain triple p, rule h) with its genuine cipher triple, run
+    # through the public stages on a one-pixel pair whose four positions all
+    # carry that triple pair.  A witness search returns the first position
+    # whose pair passes, so a per-position outcome that ignores h (that is,
+    # k2, z and t) makes the whole attack's stage outcomes key-independent.
+    def one_pixel(packed):
+        return DigitImage(1, 1, np.full(4, packed, dtype=np.uint8))
+
+    def stage(fn, *args):
+        try:
+            return fn(*args)
+        except MissingWitnessError as err:
+            return err.stage
+
+    hits = np.zeros(3, dtype=int)
+    for k1, p in itertools.product(range(1, 9), range(64)):
+        pd = one_pixel(p)
+        outcomes = set()
+        for h in range(1, 9):
+            c = int(ENCRYPT_TABLES[k1 - 1, h - 1, p])
+            cd = one_pixel(c)
+            s1 = stage(recover_map_c, pd, cd)
+            map_c = int(DECODE[k1 - 1, Base.C])
+            assert s1 == ((map_c, 0) if p & 3 == map_c else FailureStage.NO_STEP1_WITNESS)
+            s2 = stage(recover_k1, pd, cd, map_c)
+            assert s2 in ((k1, 0), FailureStage.NO_STEP2_WITNESS)
+            s3 = stage(recover_k2_class, pd, cd, k1)
+            assert s3 in ((rule_class(h), 0), FailureStage.NO_STEP3_WITNESS)
+            outcomes.add((s1, s2, s3 == FailureStage.NO_STEP3_WITNESS))
+            assert int(RULE_TABLES[k1 - 1, class_index(rule_class(h)), p, c]) == h
+        assert len(outcomes) == 1, (k1, p, outcomes)
+        ((s1, s2, no_s3),) = outcomes
+        hits += (s1 != FailureStage.NO_STEP1_WITNESS, s2 != FailureStage.NO_STEP2_WITNESS, not no_s3)
+    # per k1: the 16 triples whose b digit k1 maps to C, the 24 triples that
+    # distinguish the candidates, and the 48 whose post-addition bases are
+    # not among the 16 undetermined triples (steps 1-2 permute the triples)
+    assert hits.tolist() == [8 * 16, 8 * 24, 8 * 48]
+
+
+def test_rule_stream_must_hold_integers():
+    with pytest.raises(ValueError, match="must hold integers"):
+        EquivalentKey(1, np.array([1.5, 2.9, 7.7, 1.0]), 1, 1)
+    with pytest.raises(ValueError, match="must hold integers"):
+        EquivalentKey(1, np.ones(4, dtype=bool), 1, 1)
+    assert EquivalentKey(1, [1, 2, 7, 1], 1, 1).h.tolist() == [1, 2, 7, 1]
+
+
+def test_import_builds_no_stage_tables():
+    code = (
+        "import dnacipher.cli\n"
+        "from dnacipher import attack\n"
+        "assert attack._stage_tables.cache_info().currsize == 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -387,3 +387,12 @@ def test_random_key_is_valid():
     for _ in range(100):
         key = random_key(rng)  # constructor validates
         assert 1 <= key.k1 <= 8 and 1 <= key.k2 <= 8
+
+
+def test_keystreams_must_hold_integers():
+    with pytest.raises(ValueError, match="must hold integers"):
+        Keystreams(z=[0.5, 0, 0, 1], t=[2.7, 0, 0, 3])
+    with pytest.raises(ValueError, match="must hold integers"):
+        Keystreams(z=np.zeros(4, dtype=np.uint8), t=np.zeros(4, dtype=np.float32))
+    ks = Keystreams(z=[1, 0, 0, 1], t=[2, 0, 0, 3])
+    assert ks.z.tolist() == [1, 0, 0, 1] and ks.t.tolist() == [2, 0, 0, 3]
