@@ -2,17 +2,7 @@
 plus the one-known-plaintext equivalent-key attack and sensitivity analyses.
 """
 
-from .dna import (
-    Base,
-    RuleClass,
-    complement,
-    decode_base,
-    dna_add,
-    dna_sub,
-    encode_digit,
-    rule_class,
-    rule_from_pair,
-)
+from .dna import Base, RuleClass, rule_class
 from .keystream import (
     Keystreams,
     SecretKey,
@@ -38,7 +28,6 @@ from .attack import (
     EquivalentKey,
     FailureStage,
     MissingWitnessError,
-    composed_rule,
     eqkey_from_bytes,
     eqkey_to_bytes,
     equivalent_decrypt,

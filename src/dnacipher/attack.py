@@ -31,28 +31,20 @@ from enum import Enum
 
 import numpy as np
 
-from .dna import (
-    COMPOSED,
-    DECODE,
-    Base,
-    RuleClass,
-    check_digit,
-    check_rule,
-    class_index,
-)
+from .dna import DECODE, Base, RuleClass, check_digit, check_rule, class_index
 from .cipher import (
     ADDITION_TABLES,
     DECRYPT_TABLES,
     EQUAL_GB,
     EQUAL_PAIRS,
-    INDEX_BUDGET,
     PAIRS,
+    PASS_POSITIONS,
     RULE_TABLES,
     SEPARATING_PAIRS,
     DigitImage,
     RgbImage,
     apply_rules,
-    image_to_digits,
+    pack_triples,
 )
 
 
@@ -113,16 +105,6 @@ class AttackReport:
     step3_witness: int | None = None
 
 
-def composed_rule(z: int, k2: int, t: int) -> int:
-    """The single rule equivalent to complement-by-z, decode-under-k2,
-    XOR-with-t at one position."""
-    check_rule(k2)
-    check_digit(t)
-    if z not in (0, 1):
-        raise ValueError(f"z must be a bit, got {z}")
-    return int(COMPOSED[z, k2 - 1, t])
-
-
 def k1_candidates(map_c: int) -> tuple[int, int]:
     """The two rules that pair base C with the given digit."""
     check_digit(map_c)
@@ -138,10 +120,9 @@ def _check_geometry(a, b) -> None:
         )
 
 
-def _pair_index(plain_digits: DigitImage, cipher_digits: DigitImage) -> np.ndarray:
+def _pair_index(plain_packed: np.ndarray, cipher_packed: np.ndarray) -> np.ndarray:
     """Each position's pair index plain << 6 | cipher of its packed triples."""
-    _check_geometry(plain_digits, cipher_digits)
-    return (plain_digits.packed.astype(np.uint16) << 6) | cipher_digits.packed
+    return (plain_packed.astype(np.uint16) << 6) | cipher_packed
 
 
 @functools.cache
@@ -173,9 +154,9 @@ def _stage_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # Witness searches read this many positions, then twice as many, and so on up
-# to as many as keep their lookup indices within INDEX_BUDGET, in cache.
+# to one kernel pass, whose lookup indices stay in cache.
 _FIRST_CHUNK = 4096
-_LAST_CHUNK = INDEX_BUDGET // np.dtype(np.intp).itemsize
+_LAST_CHUNK = PASS_POSITIONS
 
 
 def _first_hit(table: np.ndarray, q: np.ndarray, stage: FailureStage) -> tuple[int, int]:
@@ -212,7 +193,8 @@ def _k2_class(q: np.ndarray, k1: int) -> tuple[RuleClass, int]:
 def recover_map_c(plain_digits: DigitImage, cipher_digits: DigitImage) -> tuple[int, int]:
     """Stage 1: find a position with equal g/b cipher digits; the plaintext
     b digit there is the digit that k1 maps to C.  Returns (digit, witness)."""
-    return _map_c(_pair_index(plain_digits, cipher_digits))
+    _check_geometry(plain_digits, cipher_digits)
+    return _map_c(_pair_index(plain_digits.packed, cipher_digits.packed))
 
 
 def recover_k1(
@@ -226,7 +208,8 @@ def recover_k1(
     pattern is preserved by the per-position bijection, so it selects the
     true candidate.  Returns (k1, witness).
     """
-    return _k1(_pair_index(plain_digits, cipher_digits), map_c)
+    _check_geometry(plain_digits, cipher_digits)
+    return _k1(_pair_index(plain_digits.packed, cipher_digits.packed), map_c)
 
 
 def recover_k2_class(
@@ -235,7 +218,8 @@ def recover_k2_class(
     """Stage 3: at a position where two post-addition bases are distinct and
     non-complementary, the XOR of their cipher digits is 1 or 2 and names the
     rule class of k2.  Returns (class, witness)."""
-    return _k2_class(_pair_index(plain_digits, cipher_digits), k1)
+    _check_geometry(plain_digits, cipher_digits)
+    return _k2_class(_pair_index(plain_digits.packed, cipher_digits.packed), k1)
 
 
 def recover_equivalent_key(plain: RgbImage, cipher: RgbImage) -> AttackReport:
@@ -246,7 +230,7 @@ def recover_equivalent_key(plain: RgbImage, cipher: RgbImage) -> AttackReport:
     cipher triples no rule of the recovered class links raises ValueError.
     """
     _check_geometry(plain, cipher)
-    q = _pair_index(image_to_digits(plain), image_to_digits(cipher))
+    q = _pair_index(pack_triples(plain.pixels), pack_triples(cipher.pixels))
     report = AttackReport()
     try:
         report.map_c, report.step1_witness = _map_c(q)

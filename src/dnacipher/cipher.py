@@ -167,16 +167,17 @@ _join = np.zeros((4, 64, 4), dtype=np.uint8)
 _join[..., :3] = np.stack(_TRIPLE, axis=-1) << np.array([6, 4, 2, 0])[:, None, None]
 _JOIN = _join.view(np.uint32)[..., 0]
 
-# Bytes of intp lookup indices one kernel pass may build.  The bound keeps a
-# pass's temporaries in cache and the kernel's memory flat at any image size.
+# Bytes of intp lookup indices one kernel pass may build, and the digit
+# positions that makes.  The bound keeps a pass's temporaries in cache and the
+# kernel's memory flat at any image size.
 INDEX_BUDGET = 1 << 20
-_PASS_POSITIONS = INDEX_BUDGET // np.dtype(np.intp).itemsize
+PASS_POSITIONS = INDEX_BUDGET // np.dtype(np.intp).itemsize
 
 
 def images_per_pass(pixel_count: int) -> int:
     """How many whole L-pixel images one pass holds within INDEX_BUDGET (at
     least one)."""
-    return max(1, _PASS_POSITIONS // (4 * pixel_count))
+    return max(1, PASS_POSITIONS // (4 * pixel_count))
 
 
 def pack_triples(pixels: np.ndarray) -> np.ndarray:
@@ -221,7 +222,7 @@ def apply_rules(table: np.ndarray, h: np.ndarray, pixels: np.ndarray) -> np.ndar
     if h.shape != (4 * n,):
         raise ValueError(f"rule stream must have length {4 * n}, got {h.shape}")
     images = max(1, int(np.prod(pixels.shape[:-2])))
-    step = max(1, _PASS_POSITIONS // (4 * images))
+    step = max(1, PASS_POSITIONS // (4 * images))
     out = np.empty_like(pixels)
     for s in range(0, n, step):
         packed = pack_triples(pixels[..., s:s + step, :])

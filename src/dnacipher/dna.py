@@ -1,6 +1,7 @@
-"""Finite algebra on DNA bases: the eight digit<->base map rules, base
-addition/subtraction, the Watson-Crick complement, and the composed rule
-table that folds complement, decode and mask into one decoding rule.
+"""Finite algebra on DNA bases, as the lookup tables the cipher reads: the
+eight digit<->base map rules, base addition, the Watson-Crick complement,
+and the composed rule table that folds complement, decode and mask into one
+decoding rule.
 
 Everything here is a pure function over small immutable lookup tables, so the
 module is safe for unrestricted concurrent use.  Internally bases are indexed
@@ -10,6 +11,7 @@ appears in any file format (files carry rule indices and digits only).
 
 from __future__ import annotations
 
+import operator
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -36,19 +38,13 @@ _RULE_STRINGS = (
     "TGCA",  # rule 8
 )
 
-# Base addition/subtraction, transcribed literally with rows/columns in the
-# order A, T, C, G.  Result of `row op column`.
+# Base addition, transcribed literally with rows/columns in the order
+# A, T, C, G.  Result of `row + column`.
 _ADD_ROWS = {
     "A": "TGAC",
     "T": "GCTA",
     "C": "ATCG",
     "G": "CAGT",
-}
-_SUB_ROWS = {
-    "A": "CGAT",
-    "T": "ACTG",
-    "C": "GTCA",
-    "G": "TAGC",
 }
 _COMPLEMENT_PAIRS = {"A": "T", "T": "A", "C": "G", "G": "C"}
 
@@ -66,15 +62,11 @@ for _r in range(8):
     for _d in range(4):
         DECODE[_r, ENCODE[_r, _d]] = _d
 
-# ADD[a, b] = a + b and SUB[a, b] = a - b on base codes.
+# ADD[a, b] = a + b on base codes.
 ADD = np.zeros((4, 4), dtype=np.uint8)
-SUB = np.zeros((4, 4), dtype=np.uint8)
 for _row, _entries in _ADD_ROWS.items():
     for _col, _res in zip("ATCG", _entries):
         ADD[_code(_row), _code(_col)] = _code(_res)
-for _row, _entries in _SUB_ROWS.items():
-    for _col, _res in zip("ATCG", _entries):
-        SUB[_code(_row), _code(_col)] = _code(_res)
 
 COMPLEMENT = np.zeros(4, dtype=np.uint8)
 for _x, _y in _COMPLEMENT_PAIRS.items():
@@ -105,12 +97,14 @@ class RuleClass(Enum):
 
 
 def check_rule(rule: int) -> int:
+    rule = operator.index(rule)
     if not 1 <= rule <= 8:
         raise ValueError(f"map rule must be in [1, 8], got {rule}")
     return rule
 
 
 def check_digit(d: int) -> int:
+    d = operator.index(d)
     if not 0 <= d <= 3:
         raise ValueError(f"digit must be in [0, 3], got {d}")
     return d
@@ -132,42 +126,9 @@ def composed_rules(z: np.ndarray, k2: int, t: np.ndarray) -> np.ndarray:
     return COMPOSED[:, check_rule(k2) - 1, :].ravel()[(z << 2) | t]
 
 
-def encode_digit(rule: int, d: int) -> Base:
-    """Base paired with digit `d` under the given map rule."""
-    return Base(int(ENCODE[check_rule(rule) - 1, check_digit(d)]))
-
-
-def decode_base(rule: int, x: Base | int) -> int:
-    """Digit paired with base `x` under the given map rule (inverse of
-    encode_digit)."""
-    return int(DECODE[check_rule(rule) - 1, Base(x).value])
-
-
-def dna_add(a: Base | int, b: Base | int) -> Base:
-    return Base(int(ADD[Base(a).value, Base(b).value]))
-
-
-def dna_sub(a: Base | int, b: Base | int) -> Base:
-    """The unique x with dna_add(x, b) == a."""
-    return Base(int(SUB[Base(a).value, Base(b).value]))
-
-
-def complement(x: Base | int) -> Base:
-    return Base(int(COMPLEMENT[Base(x).value]))
-
-
 def rule_class(rule: int) -> RuleClass:
     return RuleClass.A if check_rule(rule) in RuleClass.A.rules else RuleClass.B
 
-
-# RULE_FROM_PAIR[class index, base code, digit] -> the unique rule of that
-# class mapping the base to the digit.  Within each class the four rules
-# assign four distinct digits to any fixed base, so the table is total.
-RULE_FROM_PAIR = np.zeros((2, 4, 4), dtype=np.uint8)
-for _ci, _cls in enumerate((RuleClass.A, RuleClass.B)):
-    for _rule in _cls.rules:
-        for _b in range(4):
-            RULE_FROM_PAIR[_ci, _b, DECODE[_rule - 1, _b]] = _rule
 
 _CLASS_INDEX = {RuleClass.A: 0, RuleClass.B: 1}
 
@@ -175,7 +136,3 @@ _CLASS_INDEX = {RuleClass.A: 0, RuleClass.B: 1}
 def class_index(cls: RuleClass) -> int:
     return _CLASS_INDEX[cls]
 
-
-def rule_from_pair(cls: RuleClass, base: Base | int, digit: int) -> int:
-    """The unique rule in `cls` that maps `base` to `digit`."""
-    return int(RULE_FROM_PAIR[class_index(cls), Base(base).value, check_digit(digit)])

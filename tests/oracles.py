@@ -4,10 +4,11 @@ Everything above the "Reference pipeline" section is deliberately scalar and
 dict-based, re-transcribed from the printed tables, so it shares no code (and
 no transcription) with the package's vectorised lookup paths.  That section
 holds the literal five-step pipeline: one vectorised function per cipher step
-over the package's `dna` tables, chained into whole-image encryption and
-decryption, plus the per-trial avalanche loop.  It splits images into its own
-per-channel digit planes, so it shares no code with the package's packed
-digit triples.  These are the references the rule-table kernel and the
+over the package's `dna` tables (subtraction, which the package never does,
+over a table built from the transcription here), chained into whole-image
+encryption and decryption, plus the per-trial avalanche loop.  It splits
+images into its own per-channel digit planes, so it shares no code with the
+package's packed digit triples.  These are the references the rule-table kernel and the
 batched avalanche are checked against; the package itself never runs the
 steps one by one.  The "Reference attack" section runs attack stages 1-3 as
 full scans over every position, the reference for the package's chunked
@@ -42,7 +43,7 @@ from dnacipher.dna import (
     COMPLEMENT,
     DECODE,
     ENCODE,
-    SUB,
+    Base,
     RuleClass,
     bytes_to_digits,
     check_rule,
@@ -327,6 +328,10 @@ def addition_step(d: DnaTriples) -> DnaTriples:
     ng = ADD[d.g, d.b]
     nb = ADD[ng, d.b]
     return DnaTriples(d.width, d.height, nr, ng, nb)
+
+
+# SUB[a, b] = a - b on the package's base codes, from the transcription above.
+SUB = np.array([[Base[sub(a.name, b.name)] for b in Base] for a in Base], dtype=np.uint8)
 
 
 def inverse_addition_step(n: DnaTriples) -> DnaTriples:

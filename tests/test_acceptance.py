@@ -12,14 +12,8 @@ from dnacipher import (
     Base,
     FailureStage,
     SecretKey,
-    complement,
-    composed_rule,
-    decode_base,
     decrypt,
     detect_structure_leak,
-    dna_add,
-    dna_sub,
-    encode_digit,
     encrypt,
     equivalent_decrypt,
     image_to_digits,
@@ -28,6 +22,7 @@ from dnacipher import (
     recover_equivalent_key,
 )
 from dnacipher.cli import main as cli_main
+from dnacipher.dna import ADD, COMPLEMENT, COMPOSED, DECODE, ENCODE
 from dnacipher.keystream import format_key_text, random_key
 from dnacipher.ppm import write_ppm
 from dnacipher.synth import constant_image, natural_image, uniform_random_image
@@ -58,15 +53,15 @@ def test_criterion_1_table_oracles():
         bases = list(Base)
         for rule in range(1, 9):
             for d in range(4):
-                assert encode_digit(rule, 3 - d) == complement(encode_digit(rule, d))
+                assert ENCODE[rule - 1, 3 - d] == COMPLEMENT[ENCODE[rule - 1, d]]
         phi = {Base.C: 0, Base.A: 1, Base.T: 2, Base.G: 3}
         for a, b in itertools.product(bases, repeat=2):
-            assert dna_add(a, b) == dna_add(b, a)
-            assert dna_sub(dna_add(a, b), b) == a
-            assert dna_add(dna_sub(a, b), b) == a
-            assert phi[dna_add(a, b)] == (phi[a] + phi[b]) % 4
+            assert ADD[a, b] == ADD[b, a]
+            assert oracles.SUB[ADD[a, b], b] == a
+            assert ADD[oracles.SUB[a, b], b] == a
+            assert phi[Base(ADD[a, b])] == (phi[a] + phi[b]) % 4
         for x in bases:
-            assert dna_add(x, Base.C) == x
+            assert ADD[x, Base.C] == x
         assert time.perf_counter() - start < 1.0
 
 
@@ -76,16 +71,16 @@ def test_criterion_2_composed_rule_brute_force():
         for z, k2, t in itertools.product((0, 1), range(1, 9), range(4)):
             f = {}
             for x in Base:
-                x_in = complement(x) if z else x
-                f[x] = decode_base(k2, x_in) ^ t
+                x_in = COMPLEMENT[x] if z else x
+                f[x] = DECODE[k2 - 1, x_in] ^ t
             assert sorted(f.values()) == [0, 1, 2, 3]
             for x in Base:
-                assert f[x] + f[complement(x)] == 3
-            h = composed_rule(z, k2, t)
-            assert all(decode_base(h, x) == f[x] for x in Base)
+                assert f[x] + f[Base(COMPLEMENT[x])] == 3
+            h = COMPOSED[z, k2 - 1, t]
+            assert all(DECODE[h - 1, x] == f[x] for x in Base)
             assert h == oracles.COMPOSED_TABLE[(z, k2, t)]
-        assert composed_rule(0, 1, 0) == 1
-        assert composed_rule(1, 7, 2) == 4
+        assert COMPOSED[0, 1 - 1, 0] == 1
+        assert COMPOSED[1, 7 - 1, 2] == 4
         assert time.perf_counter() - start < 1.0
 
 
@@ -93,8 +88,8 @@ def test_criterion_3_addition_structure_brute_force():
     with criterion(3, "equal-sum law, the 24 printed distinguishing rows, and the 16-triple undetermined set"):
         start = time.perf_counter()
         for dg, db in itertools.product(Base, repeat=2):
-            ng = dna_add(dg, db)
-            nb = dna_add(ng, db)
+            ng = ADD[dg, db]
+            nb = ADD[ng, db]
             assert (ng == nb) == (db == Base.C)
         for d_triple, n_triple in oracles.DISTINGUISHING_TRIPLES.items():
             out = chars_from_triples(addition_step(triples_from_chars([d_triple])))
@@ -210,7 +205,7 @@ def test_criterion_8_structure_leak():
             key = random_key(rng)
             img = uniform_random_image(16, 16, seed=9000 + trial)
             leak = detect_structure_leak(encrypt(img, key))
-            map_c = decode_base(key.k1, Base.C)
+            map_c = DECODE[key.k1 - 1, Base.C]
             assert np.array_equal(leak, image_to_digits(img).b == map_c)
         img = uniform_random_image(128, 128, seed=606)  # L = 2**14
         key = random_key(rng)

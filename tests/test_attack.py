@@ -20,7 +20,6 @@ from dnacipher import (
     RgbImage,
     RuleClass,
     SecretKey,
-    composed_rule,
     attack,
     decrypt,
     digits_to_image,
@@ -43,7 +42,7 @@ from dnacipher.cipher import (
     RULE_TABLES,
     SEPARATING_PAIRS,
 )
-from dnacipher.dna import DECODE, Base, class_index, composed_rules, rule_class
+from dnacipher.dna import COMPOSED, DECODE, Base, class_index, composed_rules, rule_class
 from dnacipher.synth import constant_image, natural_image, uniform_random_image
 
 import oracles
@@ -60,14 +59,15 @@ def composed_map(z, k2, t):
 
 
 def test_composed_rule_spot_values():
-    assert composed_rule(0, 1, 0) == 1
-    assert composed_rule(1, 7, 2) == 4
+    # COMPOSED[z, k2 - 1, t]
+    assert COMPOSED[0, 1 - 1, 0] == 1
+    assert COMPOSED[1, 7 - 1, 2] == 4
 
 
 def test_composed_rule_matches_brute_force_and_table():
     for z, k2, t in itertools.product((0, 1), range(1, 9), range(4)):
         f = composed_map(z, k2, t)
-        h = composed_rule(z, k2, t)
+        h = COMPOSED[z, k2 - 1, t]
         for x in "ACGT":
             assert oracles.decode(h, x) == f[x]
         assert h == oracles.COMPOSED_TABLE[(z, k2, t)]
@@ -91,10 +91,8 @@ def test_composed_map_is_watson_crick_bijection():
 
 
 def test_composed_rule_stays_in_class():
-    from dnacipher.dna import rule_class
-
     for z, k2, t in itertools.product((0, 1), range(1, 9), range(4)):
-        assert rule_class(composed_rule(z, k2, t)) == rule_class(k2)
+        assert rule_class(COMPOSED[z, k2 - 1, t]) == rule_class(k2)
 
 
 def test_equal_outputs_require_identity_addend():
@@ -628,6 +626,26 @@ def test_rule_stream_must_hold_integers():
     with pytest.raises(ValueError, match="must hold integers"):
         EquivalentKey(1, np.ones(4, dtype=bool), 1, 1)
     assert EquivalentKey(1, [1, 2, 7, 1], 1, 1).h.tolist() == [1, 2, 7, 1]
+
+
+_ONE_PIXEL = DigitImage(1, 1, np.zeros(4, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("value", [1.0, 1.5, np.float64(2)], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: SecretKey(v, 7, 0.501, 3.81, 0.401, 3.68),
+        lambda v: EquivalentKey(v, np.ones(64, dtype=np.uint8), 4, 4),
+        k1_candidates,
+        lambda v: recover_k1(_ONE_PIXEL, _ONE_PIXEL, v),
+        lambda v: recover_k2_class(_ONE_PIXEL, _ONE_PIXEL, v),
+    ],
+    ids=["SecretKey", "EquivalentKey", "k1_candidates", "recover_k1", "recover_k2_class"],
+)
+def test_rule_and_digit_arguments_must_be_integers(call, value):
+    with pytest.raises(TypeError):
+        call(value)
 
 
 def test_import_builds_no_stage_tables():

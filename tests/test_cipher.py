@@ -352,7 +352,7 @@ def test_apply_rules_pass_size_does_not_change_output(monkeypatch):
     h = rng.integers(1, 9, 4 * 37).astype(np.uint8)
     whole = apply_rules(ENCRYPT_TABLES[4], h, pixels)
     for positions in (1, 8, 40, 72):
-        monkeypatch.setattr(cipher_module, "_PASS_POSITIONS", positions)
+        monkeypatch.setattr(cipher_module, "PASS_POSITIONS", positions)
         assert np.array_equal(apply_rules(ENCRYPT_TABLES[4], h, pixels), whole)
 
 

@@ -1,19 +1,23 @@
-"""Exhaustive checks of the base/digit algebra against independent oracles."""
+"""Exhaustive checks of the base/digit tables the cipher reads against
+independent oracles."""
 
 import itertools
 
+import numpy as np
 import pytest
 
+from dnacipher.cipher import ENCRYPT_TABLES, RULE_TABLES
 from dnacipher.dna import (
+    ADD,
+    COMPLEMENT,
+    DECODE,
+    ENCODE,
     Base,
     RuleClass,
-    complement,
-    decode_base,
-    dna_add,
-    dna_sub,
-    encode_digit,
+    check_digit,
+    check_rule,
+    class_index,
     rule_class,
-    rule_from_pair,
 )
 
 import oracles
@@ -21,67 +25,70 @@ import oracles
 ALL_BASES = list(Base)
 ALL_RULES = range(1, 9)
 ALL_DIGITS = range(4)
+IDENTITY = np.arange(4)
 
 
 def test_encoding_spot_values():
-    assert encode_digit(1, 0) == Base.A
-    assert encode_digit(7, 3) == Base.A
-    assert decode_base(1, Base.T) == 3
-    assert decode_base(5, Base.A) == 1
+    assert ENCODE[1 - 1, 0] == Base.A
+    assert ENCODE[7 - 1, 3] == Base.A
+    assert DECODE[1 - 1, Base.T] == 3
+    assert DECODE[5 - 1, Base.A] == 1
 
 
 def test_encoding_matches_reference_transcription():
     for rule in ALL_RULES:
         for d in ALL_DIGITS:
-            assert encode_digit(rule, d).name == oracles.encode(rule, d)
+            assert Base(ENCODE[rule - 1, d]).name == oracles.encode(rule, d)
+        for x in ALL_BASES:
+            assert DECODE[rule - 1, x] == oracles.decode(rule, x.name)
 
 
 def test_encode_decode_are_inverse_bijections():
     for rule in ALL_RULES:
-        images = {encode_digit(rule, d) for d in ALL_DIGITS}
-        assert images == set(ALL_BASES)
-        for d in ALL_DIGITS:
-            assert decode_base(rule, encode_digit(rule, d)) == d
-        for x in ALL_BASES:
-            assert encode_digit(rule, decode_base(rule, x)) == x
+        assert sorted(ENCODE[rule - 1]) == list(ALL_BASES)
+        assert np.array_equal(DECODE[rule - 1, ENCODE[rule - 1]], IDENTITY)
+        assert np.array_equal(ENCODE[rule - 1, DECODE[rule - 1]], IDENTITY)
 
 
 def test_watson_crick_structure():
     for rule in ALL_RULES:
-        for d in ALL_DIGITS:
-            assert encode_digit(rule, 3 - d) == complement(encode_digit(rule, d))
-        for x in ALL_BASES:
-            assert decode_base(rule, complement(x)) == 3 - decode_base(rule, x)
+        enc, dec = ENCODE[rule - 1], DECODE[rule - 1]
+        assert np.array_equal(enc[3 - IDENTITY], COMPLEMENT[enc])
+        assert np.array_equal(dec[COMPLEMENT], 3 - dec)
 
 
 def test_complement_pairs_and_involution():
-    assert complement(Base.A) == Base.T
-    assert complement(Base.G) == Base.C
-    assert complement(Base.C) == Base.G
-    assert complement(Base.T) == Base.A
+    assert COMPLEMENT[Base.A] == Base.T
+    assert COMPLEMENT[Base.G] == Base.C
+    assert COMPLEMENT[Base.C] == Base.G
+    assert COMPLEMENT[Base.T] == Base.A
     for x in ALL_BASES:
-        assert complement(complement(x)) == x
+        assert Base(COMPLEMENT[x]).name == oracles.COMP[x.name]
+    assert np.array_equal(COMPLEMENT[COMPLEMENT], IDENTITY)
 
 
 def test_addition_spot_values():
-    assert dna_add(Base.A, Base.T) == Base.G
-    for x in ALL_BASES:
-        assert dna_add(x, Base.C) == x
-        assert dna_add(Base.C, x) == x
+    assert ADD[Base.A, Base.T] == Base.G
+    assert np.array_equal(ADD[:, Base.C], IDENTITY)
+    assert np.array_equal(ADD[Base.C, :], IDENTITY)
 
 
 def test_subtraction_spot_values():
-    assert dna_sub(Base.A, Base.A) == Base.C
-    assert dna_sub(Base.T, Base.G) == Base.G
+    # the oracle's transcribed differences, each undone by the live ADD
+    for a, b, diff in (("A", "A", "C"), ("T", "G", "G")):
+        assert oracles.sub(a, b) == diff
+        assert ADD[Base[diff], Base[b]] == Base[a]
 
 
 def test_addition_group_laws_exhaustive():
+    sub = oracles.SUB
     for a, b in itertools.product(ALL_BASES, repeat=2):
-        assert dna_add(a, b) == dna_add(b, a)
-        assert dna_sub(dna_add(a, b), b) == a
-        assert dna_add(dna_sub(a, b), b) == a
+        assert ADD[a, b] == ADD[b, a]
+        assert Base(ADD[a, b]).name == oracles.add(a.name, b.name)
+        assert sub[ADD[a, b], b] == a
+        assert ADD[sub[a, b], b] == a
     for a, b, c in itertools.product(ALL_BASES, repeat=3):
-        assert dna_add(dna_add(a, b), c) == dna_add(a, dna_add(b, c))
+        assert ADD[ADD[a, b], c] == ADD[a, ADD[b, c]]
 
 
 def test_mod4_isomorphism_oracle():
@@ -89,8 +96,8 @@ def test_mod4_isomorphism_oracle():
     # checked against the transcription, never used to build it.
     phi = {Base[k]: v for k, v in oracles.PHI.items()}
     for a, b in itertools.product(ALL_BASES, repeat=2):
-        assert phi[dna_add(a, b)] == (phi[a] + phi[b]) % 4
-        assert phi[dna_sub(a, b)] == (phi[a] - phi[b]) % 4
+        assert phi[Base(ADD[a, b])] == (phi[a] + phi[b]) % 4
+        assert phi[Base(oracles.SUB[a, b])] == (phi[a] - phi[b]) % 4
 
 
 def test_rule_classes_partition():
@@ -106,10 +113,10 @@ def test_class_xor_law_exhaustive():
     for rule in ALL_RULES:
         in_a = rule_class(rule) == RuleClass.A
         for x, y in itertools.product(ALL_BASES, repeat=2):
-            xor = decode_base(rule, x) ^ decode_base(rule, y)
+            xor = DECODE[rule - 1, x] ^ DECODE[rule - 1, y]
             if x == y:
                 assert xor == 0
-            elif y == complement(x):
+            elif y == COMPLEMENT[x]:
                 assert xor == 3
             elif {x, y} in ({Base.A, Base.C}, {Base.T, Base.G}):
                 assert xor == (1 if in_a else 2)
@@ -118,29 +125,43 @@ def test_class_xor_law_exhaustive():
 
 
 def test_rule_from_pair_defining_property():
+    # a (base, digit) pair names exactly one rule of each class
     for cls, x, d in itertools.product(RuleClass, ALL_BASES, ALL_DIGITS):
-        rule = rule_from_pair(cls, x, d)
-        assert rule in cls.rules
-        assert decode_base(rule, x) == d
+        rules = [r for r in cls.rules if DECODE[r - 1, x] == d]
+        assert len(rules) == 1
+        assert oracles.decode(rules[0], x.name) == d
 
 
 def test_rule_from_pair_uniqueness():
     for cls, x in itertools.product(RuleClass, ALL_BASES):
-        digits = [decode_base(r, x) for r in cls.rules]
+        digits = [DECODE[r - 1, x] for r in cls.rules]
         assert sorted(digits) == [0, 1, 2, 3]
 
 
 def test_rule_from_pair_roundtrip():
-    for rule, x in itertools.product(ALL_RULES, ALL_BASES):
-        assert rule_from_pair(rule_class(rule), x, decode_base(rule, x)) == rule
+    # RULE_TABLES names the rule from a (plain, cipher) triple pair: every
+    # (k1, class, plain) row holds its class's four rules, once each
+    k1, p = np.indices((8, 64))
+    for rule in ALL_RULES:
+        cipher = ENCRYPT_TABLES[:, rule - 1]
+        assert (RULE_TABLES[k1, class_index(rule_class(rule)), p, cipher] == rule).all()
+    for cls in RuleClass:
+        rows = RULE_TABLES[:, class_index(cls)]
+        assert (np.sort(rows, axis=-1)[..., -4:] == sorted(cls.rules)).all()
+        assert ((rows != 0).sum(axis=-1) == 4).all()
 
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        encode_digit(0, 0)
+        check_rule(0)
     with pytest.raises(ValueError):
-        encode_digit(9, 0)
+        check_rule(9)
     with pytest.raises(ValueError):
-        encode_digit(1, 4)
+        check_digit(4)
     with pytest.raises(ValueError):
-        rule_from_pair(RuleClass.A, Base.A, -1)
+        check_digit(-1)
+    assert check_rule(np.uint8(8)) == 8 and check_digit(np.int64(0)) == 0
+    with pytest.raises(TypeError):
+        check_rule(1.0)
+    with pytest.raises(TypeError):
+        check_digit(np.float64(2))

@@ -1,0 +1,76 @@
+"""The package's public names, pinned so that any addition or removal is a
+visible diff."""
+
+import types
+
+import dnacipher
+from dnacipher import attack, dna
+
+PUBLIC_API = [
+    "AttackReport",
+    "AvalancheReport",
+    "Base",
+    "DigitImage",
+    "EquivalentKey",
+    "FailureStage",
+    "KeyLeakReport",
+    "KeystreamDegenerationError",
+    "Keystreams",
+    "MissingWitnessError",
+    "PpmFormatError",
+    "RgbImage",
+    "RuleClass",
+    "SecretKey",
+    "decrypt",
+    "detect_structure_leak",
+    "digits_to_image",
+    "encrypt",
+    "eqkey_from_bytes",
+    "eqkey_to_bytes",
+    "equivalent_decrypt",
+    "format_avalanche_report",
+    "format_key_leak_report",
+    "format_key_text",
+    "image_to_digits",
+    "k1_candidates",
+    "keystreams",
+    "logistic_orbit",
+    "measure_avalanche",
+    "measure_wrong_key_leak",
+    "parse_key_text",
+    "random_key",
+    "read_ppm",
+    "recover_equivalent_key",
+    "recover_k1",
+    "recover_k2_class",
+    "recover_map_c",
+    "rule_class",
+    "t_sequence",
+    "write_ppm",
+    "z_sequence",
+]
+
+# Scalar helpers the cipher never ran; tests check the tables it reads, and
+# tests/oracles.py keeps the independent scalar versions.
+REMOVED = [
+    "encode_digit",
+    "decode_base",
+    "dna_add",
+    "dna_sub",
+    "complement",
+    "SUB",
+    "RULE_FROM_PAIR",
+    "rule_from_pair",
+    "composed_rule",
+]
+
+
+def test_public_api():
+    names = sorted(
+        name
+        for name, value in vars(dnacipher).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_API
+    for module in (dnacipher, dna, attack):
+        assert not [name for name in REMOVED if hasattr(module, name)], module
