@@ -16,7 +16,6 @@ from .cipher import (
     EQUAL_GB,
     RgbImage,
     decrypt,
-    encrypt,
     images_per_pass,
     lookup_rules,
     pack_triples,
@@ -45,7 +44,6 @@ class AvalancheReport:
 class KeyLeakReport:
     per_channel_correlation: tuple[float, float, float]
     exact_pixel_matches: int
-    structure_leak_match_rate: float
 
 
 # Per packed-triple XOR: how many of its three digits differ, and how many
@@ -140,26 +138,15 @@ def measure_wrong_key_leak(
     cipher: RgbImage, true_plain: RgbImage, wrong_key: SecretKey
 ) -> KeyLeakReport:
     """Decrypt with a wrong key and compare against the true plaintext:
-    per-channel Pearson correlation, exactly-matching pixel count, and how
-    well the wrong result's re-encryption reproduces the ciphertext's
-    equal-g/b pattern."""
+    per-channel Pearson correlation and exactly-matching pixel count."""
     if (cipher.width, cipher.height) != (true_plain.width, true_plain.height):
         raise ValueError("cipher and plaintext geometries differ")
-    streams = keystreams(wrong_key, cipher.pixel_count)
-    wrong = decrypt(cipher, wrong_key, streams)
+    wrong = decrypt(cipher, wrong_key)
     corr = tuple(
         _pearson(wrong.pixels[:, c], true_plain.pixels[:, c]) for c in range(3)
     )
     matches = int(np.all(wrong.pixels == true_plain.pixels, axis=1).sum())
-    reencrypted = encrypt(wrong, wrong_key, streams)
-    rate = float(
-        np.mean(detect_structure_leak(reencrypted) == detect_structure_leak(cipher))
-    )
-    return KeyLeakReport(
-        per_channel_correlation=corr,
-        exact_pixel_matches=matches,
-        structure_leak_match_rate=rate,
-    )
+    return KeyLeakReport(per_channel_correlation=corr, exact_pixel_matches=matches)
 
 
 def format_avalanche_report(r: AvalancheReport) -> str:
@@ -183,6 +170,5 @@ def format_key_leak_report(r: KeyLeakReport) -> str:
         f"correlation_G={r.per_channel_correlation[1]:.6f}",
         f"correlation_B={r.per_channel_correlation[2]:.6f}",
         f"exact_pixel_matches={r.exact_pixel_matches}",
-        f"structure_leak_match_rate={r.structure_leak_match_rate:.6f}",
     ]
     return "\n".join(lines) + "\n"

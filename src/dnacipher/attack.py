@@ -15,16 +15,18 @@ test suite:
 Every stage's test at a position depends only on the pair index
 plain << 6 | cipher of its packed triples, so each stage is a lookup in a
 table over the 4096 indices, derived from the cipher's tables on first use.
-Stages 1-3 want one witness each, the first position in raster order that
-passes: they read the pair index in doubling chunks and stop at the first
+Every stage reads the pair index in the cipher kernel's passes of
+PASS_POSITIONS positions.  Stages 1-3 want one witness each, the first
+position in raster order that passes: they stop at the first pass with a
 hit, so reports are deterministic and a witness near the start costs one
-small chunk.  Stage 4 reads h_i at every position off RULE_TABLES, the
-inverse of the cipher's tables, and so rejects non-genuine pairs.
+pass.  Stage 4 reads h_i at every position off RULE_TABLES, the inverse of
+the cipher's tables, and so rejects non-genuine pairs.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -74,6 +76,7 @@ class EquivalentKey:
 
     def __post_init__(self):
         check_rule(self.k1)
+        self.width, self.height = operator.index(self.width), operator.index(self.height)
         if self.width <= 0 or self.height <= 0:
             raise ValueError("equivalent-key dimensions must be positive")
         self.h = np.asarray(self.h)
@@ -153,21 +156,13 @@ def _stage_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-# Witness searches read this many positions, then twice as many, and so on up
-# to one kernel pass, whose lookup indices stay in cache.
-_FIRST_CHUNK = 4096
-_LAST_CHUNK = PASS_POSITIONS
-
-
 def _first_hit(table: np.ndarray, q: np.ndarray, stage: FailureStage) -> tuple[int, int]:
     """(entry, position) of the first nonzero table entry in raster order."""
-    start, size = 0, _FIRST_CHUNK
-    while start < q.size:
-        hit = table.take(q[start:start + size]) != 0
+    for s in range(0, q.size, PASS_POSITIONS):
+        hit = table.take(q[s:s + PASS_POSITIONS]) != 0
         j = int(hit.argmax())
         if hit[j]:
-            return int(table[q[start + j]]), start + j
-        start, size = start + size, min(2 * size, _LAST_CHUNK)
+            return int(table[q[s + j]]), s + j
     raise MissingWitnessError(stage)
 
 
@@ -243,7 +238,9 @@ def recover_equivalent_key(plain: RgbImage, cipher: RgbImage) -> AttackReport:
 
     # Stage 4: every position's (plain, cipher) triple pair names its rule.
     table = RULE_TABLES[k1 - 1, class_index(report.k2_class)].ravel()
-    h = table[q]
+    h = np.empty(q.size, dtype=np.uint8)
+    for s in range(0, q.size, PASS_POSITIONS):
+        table.take(q[s:s + PASS_POSITIONS], out=h[s:s + PASS_POSITIONS])
     if not h.all():
         raise ValueError("channel rule derivations disagree; not a genuine pair")
     report.recovered = EquivalentKey(k1, h, plain.width, plain.height)

@@ -10,8 +10,8 @@ h_i = COMPOSED[z_i, k2 - 1, t_i] per position, so encryption is a single
 lookup per position in an 8x64 table chosen by k1: row h_i - 1, column the
 packed plaintext triple.  Decryption uses the inverse table.  `apply_rules`
 runs that lookup over any leading batch axes; `measure_avalanche` runs the
-same packed lookup to re-encrypt every flipped image in full, a chunk of
-images at a time.
+same packed lookup to re-encrypt every flipped image in full.  Both, and the
+attack's table scans, read at most PASS_POSITIONS digit positions per pass.
 
 Steps (a)-(b) (encode under k1, chained addition) are derived once, in
 ADDITION_TABLES; the encryption tables and the attack's stages 2-3 read it.
@@ -21,6 +21,7 @@ The literal five-step pipeline lives in the test suite, as the reference.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ class RgbImage:
     pixels: np.ndarray
 
     def __post_init__(self):
+        self.width, self.height = operator.index(self.width), operator.index(self.height)
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image dimensions must be positive")
         self.pixels = np.asarray(self.pixels, dtype=np.uint8)
@@ -80,6 +82,7 @@ class DigitImage:
     packed: np.ndarray
 
     def __post_init__(self):
+        self.width, self.height = operator.index(self.width), operator.index(self.height)
         n = 4 * self.width * self.height
         if self.packed.shape != (n,) or self.packed.dtype != np.uint8:
             raise ValueError(f"packed digit triples must be {n} uint8 entries")
@@ -167,16 +170,14 @@ _join = np.zeros((4, 64, 4), dtype=np.uint8)
 _join[..., :3] = np.stack(_TRIPLE, axis=-1) << np.array([6, 4, 2, 0])[:, None, None]
 _JOIN = _join.view(np.uint32)[..., 0]
 
-# Bytes of intp lookup indices one kernel pass may build, and the digit
-# positions that makes.  The bound keeps a pass's temporaries in cache and the
-# kernel's memory flat at any image size.
-INDEX_BUDGET = 1 << 20
-PASS_POSITIONS = INDEX_BUDGET // np.dtype(np.intp).itemsize
+# Digit positions one pass of any table scan reads: their intp lookup indices
+# fill 1 MiB.  The bound keeps a pass's temporaries in cache and the memory of
+# the kernel and the attack flat at any image size.
+PASS_POSITIONS = (1 << 20) // np.dtype(np.intp).itemsize
 
 
 def images_per_pass(pixel_count: int) -> int:
-    """How many whole L-pixel images one pass holds within INDEX_BUDGET (at
-    least one)."""
+    """How many whole L-pixel images one pass holds (at least one)."""
     return max(1, PASS_POSITIONS // (4 * pixel_count))
 
 
@@ -212,8 +213,8 @@ def apply_rules(table: np.ndarray, h: np.ndarray, pixels: np.ndarray) -> np.ndar
 
     `table` is one k1's 8x64 slice of ENCRYPT_TABLES or DECRYPT_TABLES,
     `pixels` has shape (..., L, 3) with any leading batch axes, and `h` holds
-    4L rules in [1, 8], shared by every image.  Runs in pixel chunks whose
-    index array stays within INDEX_BUDGET.
+    4L rules in [1, 8], shared by every image.  Runs in pixel chunks of at
+    most one pass.
     """
     pixels = np.asarray(pixels, dtype=np.uint8)
     if pixels.ndim < 2 or pixels.shape[-1] != 3:

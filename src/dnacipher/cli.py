@@ -57,11 +57,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_bytes(path: str) -> bytes:
-    if not os.path.exists(path):
-        raise CliError(f"input file does not exist: {path}", EXIT_IO)
     try:
         with open(path, "rb") as fh:
             return fh.read()
+    except FileNotFoundError as err:
+        raise CliError(f"input file does not exist: {path}", EXIT_IO) from err
     except OSError as err:
         raise CliError(f"cannot read {path}: {err}", EXIT_IO) from err
 
@@ -144,10 +144,7 @@ def _cmd_decrypt(args) -> int:
 def _cmd_attack(args) -> int:
     plain = _load_image(args.plain)
     cipher = _load_image(args.cipher)
-    try:
-        report = recover_equivalent_key(plain, cipher)
-    except ValueError as err:
-        raise CliError(str(err), EXIT_BAD_INPUT) from err
+    report = recover_equivalent_key(plain, cipher)
     text = _attack_report_text(report)
     if args.report:
         _write_atomic(args.report, text.encode("utf-8"))
@@ -164,11 +161,7 @@ def _cmd_eqdecrypt(args) -> int:
     except ValueError as err:
         raise CliError(f"bad equivalent-key file {args.eqkey}: {err}", EXIT_BAD_INPUT) from err
     img = _load_image(args.infile)
-    try:
-        recovered = equivalent_decrypt(img, ek)
-    except ValueError as err:
-        raise CliError(str(err), EXIT_BAD_INPUT) from err
-    _write_atomic(args.out, write_ppm(recovered))
+    _write_atomic(args.out, write_ppm(equivalent_decrypt(img, ek)))
     return EXIT_OK
 
 

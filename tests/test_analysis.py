@@ -148,21 +148,17 @@ def test_wrong_key_leak_degenerate_same_key(true_key):
     cipher = encrypt(img, true_key)
     report = measure_wrong_key_leak(cipher, img, true_key)
     assert report.exact_pixel_matches == img.pixel_count
-    assert report.structure_leak_match_rate == 1.0
     for corr in report.per_channel_correlation:
         assert corr == pytest.approx(1.0)
 
 
-def test_wrong_key_leak_reencryption_rate_is_one():
-    # re-encrypting the wrong decryption reproduces the ciphertext, so its
-    # equal-g/b pattern matches everywhere: the leak survives the wrong key
+def test_wrong_key_leak_correlations_are_bounded():
     rng = np.random.default_rng(38)
     for trial in range(8):
         true_k, wrong_k = random_key(rng), random_key(rng)
         img = natural_image(16, 16, seed=500 + trial)
         cipher = encrypt(img, true_k)
         report = measure_wrong_key_leak(cipher, img, wrong_k)
-        assert report.structure_leak_match_rate == 1.0
         assert all(-1.0 <= c <= 1.0 for c in report.per_channel_correlation)
 
 
@@ -194,7 +190,6 @@ def test_report_texts_parse_back(true_key, wrong_key):
         line.split("=", 1)
         for line in format_key_leak_report(leak).strip().splitlines()
     )
-    assert fields["structure_leak_match_rate"] == "1.000000"
     assert float(fields["correlation_R"]) == pytest.approx(
         leak.per_channel_correlation[0], abs=1e-6
     )

@@ -510,11 +510,11 @@ def _sparse_image(rng, width, height):
     height=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(("genuine", "mismatched", "tampered")),
-    chunk=st.sampled_from((1, 2, 3, 5, 4096)),
-    last=st.sampled_from((1, 4, 6, 1 << 17)),
+    positions=st.sampled_from((1, 2, 3, 5, 6, 4096, 1 << 17)),
 )
-def test_attack_matches_full_scan_reference(width, height, seed, kind, chunk, last):
-    # small chunks put many chunk edges inside these small images
+def test_attack_matches_full_scan_reference(width, height, seed, kind, positions):
+    # small passes put many pass edges inside these small images, in the
+    # witness searches and in stage 4
     rng = np.random.default_rng(seed)
     key = random_key(rng)
     plain = _sparse_image(rng, width, height)
@@ -526,8 +526,7 @@ def test_attack_matches_full_scan_reference(width, height, seed, kind, chunk, la
         pixels[rng.integers(width * height), rng.integers(3)] ^= rng.integers(1, 256)
         cipher = RgbImage(width, height, pixels)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(attack, "_FIRST_CHUNK", chunk)
-        mp.setattr(attack, "_LAST_CHUNK", last)
+        mp.setattr(attack, "PASS_POSITIONS", positions)
         got = _outcome(recover_equivalent_key, plain, cipher)
     assert got == _outcome(oracles.reference_attack, plain, cipher)
 
@@ -551,14 +550,15 @@ def _late_witness_pair(k1, k2, w2, w3, width=64, height=64):
     return plain, encrypt(plain, SecretKey(k1, k2, 0.37, 3.93, 0.61, 3.71))
 
 
-# The first two chunk edges of a 64x64 image (4096 + 8192 positions), and its
-# last position.
-_EDGES = (4095, 4096, 12287, 12288, 4 * 64 * 64 - 1)
+# The edges between passes of 4096 positions in a 64x64 image, and its last
+# position.
+_EDGES = (4095, 4096, 8191, 8192, 12287, 12288, 4 * 64 * 64 - 1)
 
 
 @pytest.mark.parametrize("w2", _EDGES)
 @pytest.mark.parametrize("w3", _EDGES)
-def test_witnesses_at_chunk_edges(w2, w3):
+def test_witnesses_at_chunk_edges(w2, w3, monkeypatch):
+    monkeypatch.setattr(attack, "PASS_POSITIONS", 4096)
     k1 = 1 + (w2 + w3) % 8
     plain, cipher = _late_witness_pair(k1, 1 + w3 % 8, w2, w3)
     report = recover_equivalent_key(plain, cipher)
@@ -646,6 +646,25 @@ _ONE_PIXEL = DigitImage(1, 1, np.zeros(4, dtype=np.uint8))
 def test_rule_and_digit_arguments_must_be_integers(call, value):
     with pytest.raises(TypeError):
         call(value)
+
+
+@pytest.mark.parametrize("value", [2.0, np.float64(2)], ids=repr)
+@pytest.mark.parametrize("slot", ["width", "height"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda w, h: RgbImage(w, h, np.zeros((4, 3), dtype=np.uint8)),
+        lambda w, h: DigitImage(w, h, np.zeros(16, dtype=np.uint8)),
+        lambda w, h: EquivalentKey(1, np.ones(16, dtype=np.uint8), w, h),
+    ],
+    ids=["RgbImage", "DigitImage", "EquivalentKey"],
+)
+def test_geometry_arguments_must_be_integers(make, slot, value):
+    # a float width used to construct, then broke the PPM header or the
+    # .eqk header when written
+    assert make(np.int64(2), 2).width == 2
+    with pytest.raises(TypeError):
+        make(*((value, 2) if slot == "width" else (2, value)))
 
 
 def test_import_builds_no_stage_tables():
