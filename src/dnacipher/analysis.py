@@ -14,6 +14,7 @@ import numpy as np
 from .cipher import (
     ENCRYPT_TABLES,
     EQUAL_GB,
+    TRIPLE_DIGITS,
     RgbImage,
     decrypt,
     images_per_pass,
@@ -48,9 +49,7 @@ class KeyLeakReport:
 
 # Per packed-triple XOR: how many of its three digits differ, and how many
 # bits.
-_CHANGED_DIGITS = np.array(
-    [(d >> 4 != 0) + (d >> 2 & 3 != 0) + (d & 3 != 0) for d in range(64)], dtype=np.int64
-)
+_CHANGED_DIGITS = np.count_nonzero(TRIPLE_DIGITS, axis=0)
 _CHANGED_BITS = np.array([bin(d).count("1") for d in range(64)], dtype=np.int64)
 
 

@@ -26,7 +26,6 @@ the cipher's tables, and so rejects non-genuine pairs.
 from __future__ import annotations
 
 import functools
-import operator
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -43,10 +42,12 @@ from .cipher import (
     PASS_POSITIONS,
     RULE_TABLES,
     SEPARATING_PAIRS,
+    TRIPLE_DIGITS,
     DigitImage,
     RgbImage,
     apply_rules,
     pack_triples,
+    positive_dimensions,
 )
 
 
@@ -76,9 +77,7 @@ class EquivalentKey:
 
     def __post_init__(self):
         check_rule(self.k1)
-        self.width, self.height = operator.index(self.width), operator.index(self.height)
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("equivalent-key dimensions must be positive")
+        self.width, self.height = positive_dimensions(self.width, self.height, "equivalent-key")
         self.h = np.asarray(self.h)
         if self.h.dtype.kind not in "iu":
             raise ValueError(f"rule sequence must hold integers, not {self.h.dtype}")
@@ -136,7 +135,7 @@ def _stage_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     post-addition equality pattern.  Stage 3, a row per k1: where the bases
     have a separating pair, the class (1 A, 2 B, 3 neither) its XOR shows."""
     plain, cipher = np.divmod(np.arange(4096), 64)
-    stage1 = np.where(EQUAL_GB[cipher], (plain & 3) + 1, 0)
+    stage1 = np.where(EQUAL_GB[cipher], TRIPLE_DIGITS[2, plain] + 1, 0)
     cands = np.array([k1_candidates(m) for m in range(4)]) - 1
     patterns = EQUAL_PAIRS[ADDITION_TABLES[cands][..., plain]]
     match = patterns == EQUAL_PAIRS[cipher]
@@ -144,11 +143,11 @@ def _stage_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     stage2 = np.where(witness, 2 - match[:, 0], 0)
     post = ADDITION_TABLES[:, plain]
     separating = SEPARATING_PAIRS[post]
-    # Digit shifts of the first separating pair: bit k of `separating` is PAIRS[k].
-    si, sj = np.moveaxis(4 - 2 * np.array(PAIRS)[(separating & -separating) >> 1], -1, 0)
+    # Channels of the first separating pair: bit k of `separating` is PAIRS[k].
+    ci, cj = np.moveaxis(np.array(PAIRS)[(separating & -separating) >> 1], -1, 0)
     class_a = DECODE[RuleClass.A.rules[0] - 1]
-    expected = class_a[post >> si & 3] ^ class_a[post >> sj & 3]
-    xor = (cipher >> si & 3) ^ (cipher >> sj & 3)
+    expected = class_a[TRIPLE_DIGITS[ci, post]] ^ class_a[TRIPLE_DIGITS[cj, post]]
+    xor = TRIPLE_DIGITS[ci, cipher] ^ TRIPLE_DIGITS[cj, cipher]
     stage3 = np.select([separating == 0, xor == expected, xor == 3 - expected], [0, 1, 2], 3)
     tables = tuple(t.astype(np.uint8) for t in (stage1, stage2, stage3))
     for t in tables:

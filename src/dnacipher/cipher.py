@@ -1,10 +1,12 @@
 """The cipher: one per-position rule-table kernel for encryption and
 decryption, on packed digit triples.
 
-Images are held in raster order.  Each channel byte expands to four base-4
-digits (most significant first), so an L-pixel image has 4L digit positions,
+Images are held in raster order.  Each channel byte expands to its four
+base-4 digits in dna.DIGITS, so an L-pixel image has 4L digit positions,
 each holding an (r, g, b) digit triple packed as r<<4 | g<<2 | b; only
-`pack_triples` builds them from bytes.  Steps (c)-(e) (complement by z_i,
+`pack_triples` builds them from bytes.  A packed triple is the byte whose
+digits are (0, r, g, b), so TRIPLE_DIGITS, and every table built from it,
+reads its digits from dna.DIGITS too.  Steps (c)-(e) (complement by z_i,
 decode under k2, XOR with t_i) collapse into one decoding rule
 h_i = COMPOSED[z_i, k2 - 1, t_i] per position, so encryption is a single
 lookup per position in an 8x64 table chosen by k1: row h_i - 1, column the
@@ -30,13 +32,21 @@ from .dna import (
     ADD,
     COMPLEMENT,
     DECODE,
+    DIGITS,
     ENCODE,
-    bytes_to_digits,
     class_index,
     composed_rules,
     rule_class,
 )
 from .keystream import Keystreams, SecretKey, keystreams
+
+
+def positive_dimensions(width, height, what: str) -> tuple[int, int]:
+    """`width` and `height` as ints; both must be positive."""
+    width, height = operator.index(width), operator.index(height)
+    if width <= 0 or height <= 0:
+        raise ValueError(f"{what} dimensions must be positive")
+    return width, height
 
 
 @dataclass(eq=False)
@@ -48,9 +58,7 @@ class RgbImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        self.width, self.height = operator.index(self.width), operator.index(self.height)
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image dimensions must be positive")
+        self.width, self.height = positive_dimensions(self.width, self.height, "image")
         self.pixels = np.asarray(self.pixels, dtype=np.uint8)
         if self.pixels.shape != (self.width * self.height, 3):
             raise ValueError(
@@ -82,7 +90,7 @@ class DigitImage:
     packed: np.ndarray
 
     def __post_init__(self):
-        self.width, self.height = operator.index(self.width), operator.index(self.height)
+        self.width, self.height = positive_dimensions(self.width, self.height, "image")
         n = 4 * self.width * self.height
         if self.packed.shape != (n,) or self.packed.dtype != np.uint8:
             raise ValueError(f"packed digit triples must be {n} uint8 entries")
@@ -110,8 +118,10 @@ def digits_to_image(d: DigitImage) -> RgbImage:
     return RgbImage(d.width, d.height, unpack_triples(d.packed))
 
 
-# A packed triple is one digit position's (r, g, b) digits as r<<4 | g<<2 | b.
-_TRIPLE = (np.arange(64) >> 4, (np.arange(64) >> 2) & 3, np.arange(64) & 3)
+# A packed triple is one digit position's (r, g, b) digits as r<<4 | g<<2 | b:
+# the byte whose digits are (0, r, g, b).  TRIPLE_DIGITS[c, p] is digit c of
+# packed triple p.
+TRIPLE_DIGITS = DIGITS[:64, 1:].T
 
 
 def pack_planes(r, g, b) -> np.ndarray:
@@ -121,7 +131,7 @@ def pack_planes(r, g, b) -> np.ndarray:
 
 def _build_rule_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Post-addition bases of every packed triple under every k1, each (8, 64).
-    er, eg, eb = (ENCODE[:, d] for d in _TRIPLE)
+    er, eg, eb = (ENCODE[:, d] for d in TRIPLE_DIGITS)
     ng = ADD[eg, eb]
     planes = (ADD[er, eg], ng, ADD[ng, eb])
     # DECODE[:, plane] decodes under every rule h: shape (h, k1, 64).
@@ -149,25 +159,23 @@ for _h in range(1, 9):
 # of packed digit or base triple p are equal (distinct, non-complementary).
 PAIRS = ((0, 1), (0, 2), (1, 2))
 EQUAL_PAIRS, SEPARATING_PAIRS = (
-    sum(test(_TRIPLE[i], _TRIPLE[j]) << k for k, (i, j) in enumerate(PAIRS)).astype(np.uint8)
+    sum(test(*TRIPLE_DIGITS[[i, j]]) << k for k, (i, j) in enumerate(PAIRS)).astype(np.uint8)
     for test in (np.equal, lambda x, y: (x != y) & (y != COMPLEMENT[x]))
 )
 # EQUAL_GB[p]: the g and b digits of packed triple p are equal.  On a cipher
 # triple this is the structure leak: it holds exactly where the plain b digit
 # is the one k1 maps to C, the identity of base addition.
-EQUAL_GB = (EQUAL_PAIRS >> PAIRS.index((1, 2)) & 1).astype(bool)
+EQUAL_GB = TRIPLE_DIGITS[1] == TRIPLE_DIGITS[2]
 
 # _SPREAD[c, byte] is a uint32 whose four memory bytes are the byte's digits,
 # most significant first, each shifted to channel c's place in a packed
 # triple; _JOIN[j, packed] is a uint32 whose first three memory bytes are the
-# triple's r, g and b digits shifted to digit j's place in a byte.  Words are
-# only OR-ed and viewed as bytes, so byte order does not matter.
-_SPREAD = np.ascontiguousarray(
-    bytes_to_digits(np.arange(256, dtype=np.uint8)).reshape(1, 256, 4)
-    << np.array([4, 2, 0], dtype=np.uint8)[:, None, None]
-).view(np.uint32)[..., 0]
+# triple's r, g and b digits shifted to digit j's place in a byte.  A digit
+# shifted by at most 4 bits stays inside its memory byte, and words are
+# otherwise only OR-ed and viewed as bytes, so byte order does not matter.
+_SPREAD = DIGITS.view(np.uint32)[:, 0] << np.array([4, 2, 0], dtype=np.uint32)[:, None]
 _join = np.zeros((4, 64, 4), dtype=np.uint8)
-_join[..., :3] = np.stack(_TRIPLE, axis=-1) << np.array([6, 4, 2, 0])[:, None, None]
+_join[..., :3] = TRIPLE_DIGITS.T << np.array([6, 4, 2, 0], dtype=np.uint8)[:, None, None]
 _JOIN = _join.view(np.uint32)[..., 0]
 
 # Digit positions one pass of any table scan reads: their intp lookup indices

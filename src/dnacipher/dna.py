@@ -1,7 +1,7 @@
 """Finite algebra on DNA bases, as the lookup tables the cipher reads: the
-eight digit<->base map rules, base addition, the Watson-Crick complement,
-and the composed rule table that folds complement, decode and mask into one
-decoding rule.
+digits of every byte, the eight digit<->base map rules, base addition, the
+Watson-Crick complement, and the composed rule table that folds complement,
+decode and mask into one decoding rule.
 
 Everything here is a pure function over small immutable lookup tables, so the
 module is safe for unrestricted concurrent use.  Internally bases are indexed
@@ -52,6 +52,11 @@ _COMPLEMENT_PAIRS = {"A": "T", "T": "A", "C": "G", "G": "C"}
 def _code(ch: str) -> int:
     return Base[ch].value
 
+
+# DIGITS[byte] -> the byte's four base-4 digits, most significant first.  The
+# one place the digit order of a byte is written; every byte<->digit table
+# the cipher and the keystream read is built from it.
+DIGITS = np.arange(256, dtype=np.uint8)[:, None] >> np.array([6, 4, 2, 0], dtype=np.uint8) & 3
 
 # ENCODE[rule-1, digit] -> base code; DECODE[rule-1, base code] -> digit.
 ENCODE = np.array(
@@ -108,16 +113,6 @@ def check_digit(d: int) -> int:
     if not 0 <= d <= 3:
         raise ValueError(f"digit must be in [0, 3], got {d}")
     return d
-
-
-def bytes_to_digits(channel: np.ndarray) -> np.ndarray:
-    """Expand bytes to base-4 digits, most significant digit first."""
-    out = np.empty(4 * channel.size, dtype=np.uint8)
-    out[0::4] = (channel >> 6) & 3
-    out[1::4] = (channel >> 4) & 3
-    out[2::4] = (channel >> 2) & 3
-    out[3::4] = channel & 3
-    return out
 
 
 def composed_rules(z: np.ndarray, k2: int, t: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dna import bytes_to_digits, check_rule
+from .dna import DIGITS, check_rule
 
 MU_MIN = 3.569945
 MU_MAX = 4.0
@@ -264,7 +264,8 @@ def bits_from_states(states: np.ndarray) -> np.ndarray:
 def mask_digits_from_states(states: np.ndarray) -> np.ndarray:
     """Expand each orbit value into four base-4 digits of
     floor(value * 1e5) mod 256, most significant digit first."""
-    return bytes_to_digits((np.floor(states * 1e5).astype(np.int64) % 256).astype(np.uint8))
+    values = np.floor(states * 1e5).astype(np.int64) % 256
+    return DIGITS.view(np.uint32)[:, 0].take(values).view(np.uint8)
 
 
 def z_sequence(x0: float, mu: float, pixel_count: int) -> np.ndarray:

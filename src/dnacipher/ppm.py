@@ -7,6 +7,8 @@ bytes.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .cipher import RgbImage
@@ -18,23 +20,17 @@ class PpmFormatError(ValueError):
     pass
 
 
+# Whitespace and comments (`#` to the end of the line), then one token: the
+# run of bytes up to the next whitespace or `#`, empty at the end of the data.
+# One match takes time linear in the bytes it skips, however long a comment.
+_TOKEN = re.compile(rb"(?:[ \t\r\n\x0b\x0c]*#[^\r\n]*)*[ \t\r\n\x0b\x0c]*([^ \t\r\n\x0b\x0c#]*)")
+
+
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        ch = data[pos:pos + 1]
-        if ch == b"#":
-            while pos < n and data[pos:pos + 1] not in b"\r\n":
-                pos += 1
-        elif ch in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= n:
+    match = _TOKEN.match(data, pos)
+    if not match[1]:
         raise PpmFormatError("unexpected end of header")
-    start = pos
-    while pos < n and data[pos:pos + 1] not in _WHITESPACE and data[pos:pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+    return match[1], match.end()
 
 
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:

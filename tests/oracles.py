@@ -7,12 +7,14 @@ holds the literal five-step pipeline: one vectorised function per cipher step
 over the package's `dna` tables (subtraction, which the package never does,
 over a table built from the transcription here), chained into whole-image
 encryption and decryption, plus the per-trial avalanche loop.  It splits
-images into its own per-channel digit planes, so it shares no code with the
-package's packed digit triples.  These are the references the rule-table kernel and the
-batched avalanche are checked against; the package itself never runs the
-steps one by one.  The "Reference attack" section runs attack stages 1-3 as
-full scans over every position, the reference for the package's chunked
-table searches.
+images into its own per-channel digit planes with the scalar byte splitter,
+so it shares no code with the package's digit table or packed triples.
+These are the references the rule-table kernel and the batched avalanche are
+checked against; the package itself never runs the steps one by one.  The
+"Reference attack" section runs attack stages 1-3 as full scans over every
+position, the reference for the package's chunked table searches.  The last
+section holds the byte-at-a-time PPM header scanner, the reference for
+`read_ppm`'s one-pattern tokenizer.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ from dnacipher.dna import (
     ENCODE,
     Base,
     RuleClass,
-    bytes_to_digits,
     check_rule,
     class_index,
 )
 from dnacipher.keystream import KeystreamDegenerationError, check_logistic_params
+from dnacipher.ppm import PpmFormatError
 
 # Digit -> base character per rule (string position = digit).
 RULES = {
@@ -281,13 +283,16 @@ class DigitPlanes:
                 raise ValueError(f"digit planes must have length {n}")
 
 
+_BYTE_DIGITS = np.array([byte_to_digits(v) for v in range(256)], dtype=np.uint8)
+
+
 def digits_to_bytes(digits: np.ndarray) -> np.ndarray:
     return (digits[0::4] << 6) | (digits[1::4] << 4) | (digits[2::4] << 2) | digits[3::4]
 
 
 def split_planes(img: RgbImage) -> DigitPlanes:
     """An image's digit planes, one channel at a time."""
-    planes = (bytes_to_digits(img.pixels[:, c]) for c in range(3))
+    planes = (_BYTE_DIGITS[img.pixels[:, c]].ravel() for c in range(3))
     return DigitPlanes(img.width, img.height, *planes)
 
 
@@ -482,3 +487,29 @@ def reference_attack(plain, cipher):
         raise ValueError("channel rule derivations disagree; not a genuine pair")
     report.recovered = EquivalentKey(k1, h, plain.width, plain.height)
     return report
+
+
+# --- Reference PPM header scanner: one byte per loop pass. ---
+
+_WHITESPACE = b" \t\r\n\x0b\x0c"
+
+
+def next_token_reference(data: bytes, pos: int) -> tuple[bytes, int]:
+    """Skip whitespace and `#` comments from `pos`, then return the next
+    header token and the position just past it."""
+    n = len(data)
+    while pos < n:
+        ch = data[pos:pos + 1]
+        if ch == b"#":
+            while pos < n and data[pos:pos + 1] not in b"\r\n":
+                pos += 1
+        elif ch in _WHITESPACE:
+            pos += 1
+        else:
+            break
+    if pos >= n:
+        raise PpmFormatError("unexpected end of header")
+    start = pos
+    while pos < n and data[pos:pos + 1] not in _WHITESPACE and data[pos:pos + 1] != b"#":
+        pos += 1
+    return data[start:pos], pos

@@ -15,7 +15,7 @@ from dnacipher import (
     measure_wrong_key_leak,
 )
 from dnacipher.cipher import images_per_pass
-from dnacipher.keystream import random_key
+from dnacipher.keystream import keystreams, random_key
 from dnacipher.synth import natural_image, uniform_random_image
 
 import oracles
@@ -152,14 +152,30 @@ def test_wrong_key_leak_degenerate_same_key(true_key):
         assert corr == pytest.approx(1.0)
 
 
-def test_wrong_key_leak_correlations_are_bounded():
+def test_wrong_key_leak_matches_reference_decryption():
+    # every report field against the step pipeline's wrong decryption,
+    # counted and correlated independently; a constant channel has no
+    # correlation and reads 0
     rng = np.random.default_rng(38)
     for trial in range(8):
         true_k, wrong_k = random_key(rng), random_key(rng)
         img = natural_image(16, 16, seed=500 + trial)
+        if trial == 0:
+            img.pixels[:, 1] = 77
         cipher = encrypt(img, true_k)
         report = measure_wrong_key_leak(cipher, img, wrong_k)
-        assert all(-1.0 <= c <= 1.0 for c in report.per_channel_correlation)
+        wrong = oracles.pipeline_decrypt(cipher, wrong_k, keystreams(wrong_k, img.pixel_count))
+        expected = [
+            np.corrcoef(wrong.pixels[:, c], img.pixels[:, c])[0, 1]
+            if np.ptp(img.pixels[:, c]) and np.ptp(wrong.pixels[:, c]) else 0.0
+            for c in range(3)
+        ]
+        assert report.per_channel_correlation == pytest.approx(expected, abs=1e-12)
+        assert report.exact_pixel_matches == sum(
+            p.tolist() == q.tolist() for p, q in zip(wrong.pixels, img.pixels)
+        )
+        if trial == 0:
+            assert report.per_channel_correlation[1] == 0.0
 
 
 def test_wrong_key_leak_on_fixed_pair(true_key, wrong_key, natural_64):

@@ -471,6 +471,8 @@ def test_eqkey_bytes_roundtrip(true_key, natural_64):
         lambda d: d[:-1],                     # truncated body
         lambda d: d + b"\x01",                # trailing byte
         lambda d: d[:13] + b"\x00" + d[14:],  # rule byte out of range
+        lambda d: d[:4] + bytes(4) + d[8:],   # zero width
+        lambda d: d[:8] + bytes(4) + d[12:],  # zero height
     ],
 )
 def test_eqkey_bytes_rejects_malformed(mutate, true_key, natural_64):
@@ -626,6 +628,11 @@ def test_rule_stream_must_hold_integers():
     with pytest.raises(ValueError, match="must hold integers"):
         EquivalentKey(1, np.ones(4, dtype=bool), 1, 1)
     assert EquivalentKey(1, [1, 2, 7, 1], 1, 1).h.tolist() == [1, 2, 7, 1]
+    with pytest.raises(ValueError, match="must have length 4"):
+        EquivalentKey(1, [1, 2, 7], 1, 1)
+    for width, height in ((0, 1), (1, -1)):
+        with pytest.raises(ValueError, match="equivalent-key dimensions must be positive"):
+            EquivalentKey(1, np.ones(0, dtype=np.uint8), width, height)
 
 
 _ONE_PIXEL = DigitImage(1, 1, np.zeros(4, dtype=np.uint8))

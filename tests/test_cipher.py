@@ -25,12 +25,13 @@ from dnacipher.cipher import (
     DECRYPT_TABLES,
     ENCRYPT_TABLES,
     RULE_TABLES,
+    TRIPLE_DIGITS,
     apply_rules,
     pack_planes,
     pack_triples,
     unpack_triples,
 )
-from dnacipher.dna import bytes_to_digits, class_index, composed_rules, rule_class
+from dnacipher.dna import DIGITS, class_index, composed_rules, rule_class
 from dnacipher.keystream import keystreams, random_key
 
 import oracles
@@ -70,9 +71,15 @@ def image_from_bytes(width, height, flat):
 
 
 def test_byte_digit_examples():
-    assert bytes_to_digits(np.array([228], dtype=np.uint8)).tolist() == [3, 2, 1, 0]
-    assert bytes_to_digits(np.array([0], dtype=np.uint8)).tolist() == [0, 0, 0, 0]
-    assert bytes_to_digits(np.array([255], dtype=np.uint8)).tolist() == [3, 3, 3, 3]
+    assert DIGITS[228].tolist() == [3, 2, 1, 0]
+    assert DIGITS[0].tolist() == [0, 0, 0, 0]
+    assert DIGITS[255].tolist() == [3, 3, 3, 3]
+    # every byte against the scalar splitter; a packed triple is a byte
+    # whose digits are (0, r, g, b)
+    assert DIGITS.dtype == np.uint8
+    assert DIGITS.tolist() == [oracles.byte_to_digits(v) for v in range(256)]
+    assert TRIPLE_DIGITS.T.tolist() == [oracles.byte_to_digits(p)[1:] for p in range(64)]
+    assert np.array_equal(pack_planes(*TRIPLE_DIGITS), np.arange(64))
     # the same examples through the packed triples: r carries the digits
     for digits, byte in (([0, 3, 2, 1], 57), ([0, 0, 0, 0], 0)):
         packed = np.array(digits, dtype=np.uint8) << 4
@@ -108,6 +115,10 @@ def test_digit_image_rejects_bad_packed_triples():
     ):
         with pytest.raises(ValueError):
             DigitImage(1, 1, packed)
+    for width, height, packed in ((-1, -1, np.zeros(4, dtype=np.uint8)),
+                                  (0, 3, np.zeros(0, dtype=np.uint8))):
+        with pytest.raises(ValueError, match="image dimensions must be positive"):
+            DigitImage(width, height, packed)
 
 
 def test_encode_image_rules():

@@ -197,6 +197,10 @@ def test_avalanche_report(workdir):
     assert fields["trials"] == "300"
     assert fields["locality_violations"] == "0"
     assert "claimed_max_changed_bits" in fields
+    code = main(["avalanche", "--key", str(key_path), "--in", str(workdir / "p.ppm"),
+                 "--trials", "0", "--report", str(workdir / "av0.txt")])
+    assert code == 1
+    assert not (workdir / "av0.txt").exists()
 
 
 def test_keyleak_report(workdir):
@@ -222,6 +226,11 @@ def test_missing_input_is_io_error(workdir, capsys):
                  "--out", str(workdir / "c.ppm")])
     assert code == 3
     assert "does not exist" in capsys.readouterr().err
+    code = main(["encrypt", "--key", str(workdir / "k.key"),
+                 "--in", str(workdir),
+                 "--out", str(workdir / "c.ppm")])
+    assert code == 3
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_malformed_image_is_input_error(workdir, capsys):
@@ -264,6 +273,12 @@ def test_unwritable_output_is_io_error(workdir, capsys):
                  "--in", str(workdir / "p.ppm"),
                  "--out", str(workdir / "no" / "such" / "dir" / "c.ppm")])
     assert code == 3
+    (workdir / "out").mkdir()
+    code = main(["encrypt", "--key", str(workdir / "k.key"),
+                 "--in", str(workdir / "p.ppm"),
+                 "--out", str(workdir / "out")])
+    assert code == 3
+    assert "cannot write" in capsys.readouterr().err
     # no stray temp files left behind
     assert not [p for p in os.listdir(workdir) if p.startswith(".tmp-")]
 

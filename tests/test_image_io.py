@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnacipher import PpmFormatError, RgbImage, read_ppm, write_ppm
+from dnacipher import PpmFormatError, RgbImage, ppm, read_ppm, write_ppm
+
+import oracles
 
 
 def test_minimal_red_pixel():
@@ -70,3 +72,43 @@ def test_roundtrip_property(w, h, seed):
 def test_malformed_rejected(data):
     with pytest.raises(PpmFormatError):
         read_ppm(data)
+
+
+def _read_outcome(data):
+    try:
+        img = read_ppm(data)
+    except PpmFormatError as err:
+        return str(err)
+    return img.width, img.height, img.pixels.tobytes()
+
+
+def _token_outcome(scan, data, pos):
+    try:
+        return scan(data, pos)
+    except PpmFormatError as err:
+        return str(err)
+
+
+# whitespace, comment starts, line ends, header digits and letters, and bytes
+# no header token may hold
+_HEADER_BYTES = b" \t\r\n\x0b\x0c#P6512x\x00\xff"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.lists(st.sampled_from(_HEADER_BYTES), max_size=40).map(bytes),
+    body=st.binary(max_size=13),
+)
+@example(header=b"P6\n# c\r2 1 # inline\n255\n", body=bytes(6))
+@example(header=b"P6 1\x0b1\x0c255\t", body=bytes(3))
+@example(header=b"P6\n1 1\n255#", body=bytes(3))
+def test_header_tokens_match_reference_scanner(header, body):
+    data = header + body
+    for pos in range(len(data) + 1):
+        assert _token_outcome(ppm._next_token, data, pos) == _token_outcome(
+            oracles.next_token_reference, data, pos
+        )
+    got = _read_outcome(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ppm, "_next_token", oracles.next_token_reference)
+        assert got == _read_outcome(data)

@@ -333,8 +333,12 @@ def test_keystreams_validation():
         Keystreams(z=np.zeros(5, dtype=np.uint8), t=np.zeros(5, dtype=np.uint8))
     with pytest.raises(ValueError):
         Keystreams(z=np.zeros(4, dtype=np.uint8), t=np.full(4, 7, dtype=np.uint8))
+    with pytest.raises(ValueError, match="equal length"):
+        Keystreams(z=np.zeros(4, dtype=np.uint8), t=np.zeros(8, dtype=np.uint8))
     with pytest.raises(ValueError):
         z_sequence(0.5, 3.8, 0)
+    with pytest.raises(ValueError, match="pixel count must be positive"):
+        t_sequence(0.5, 3.8, 0)
 
 
 def test_secret_key_validation():
