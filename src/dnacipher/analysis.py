@@ -12,16 +12,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cipher import (
-    ENCRYPT_TABLES,
     EQUAL_GB,
     TRIPLE_DIGITS,
     RgbImage,
+    channel_masks,
     decrypt,
+    encrypt_rows,
     images_per_pass,
     lookup_rules,
     pack_triples,
 )
-from .dna import composed_rules
 from .keystream import SecretKey, keystreams
 
 # The design's advertised diffusion bound: a single plaintext bit flip is
@@ -71,9 +71,9 @@ def measure_avalanche(
     if trials < 1:
         raise ValueError("trials must be positive")
     streams = keystreams(key, img.pixel_count)
-    table = ENCRYPT_TABLES[key.k1 - 1]
-    h = composed_rules(streams.z, key.k2, streams.t)
-    baseline = lookup_rules(table, h, pack_triples(img.pixels))
+    table = encrypt_rows(key)
+    m = channel_masks(streams)
+    baseline = lookup_rules(table, m, pack_triples(img.pixels))
     rng = np.random.default_rng(seed)
     pixel, channel, bit = np.array(
         [
@@ -90,7 +90,7 @@ def measure_avalanche(
         batch = np.repeat(img.pixels[None], n, axis=0)
         trial = slice(s, s + n)
         batch[np.arange(n), pixel[trial], channel[trial]] ^= (1 << bit[trial]).astype(np.uint8)
-        delta = lookup_rules(table, h, pack_triples(batch)) ^ baseline
+        delta = lookup_rules(table, m, pack_triples(batch)) ^ baseline
         rows, positions = np.divmod(np.flatnonzero(delta), delta.shape[1])
         changed = delta[rows, positions]
         np.add.at(digits, s + rows, _CHANGED_DIGITS[changed])

@@ -247,14 +247,14 @@ def recover_equivalent_key(plain: RgbImage, cipher: RgbImage) -> AttackReport:
 
 
 def equivalent_decrypt(cipher: RgbImage, ek: EquivalentKey) -> RgbImage:
-    """Decrypt with a recovered key: the cipher kernel's inverse table for
-    k1, row h_i at each position."""
+    """Decrypt with a recovered key: the cipher kernel on k1's inverse rule
+    table, row h_i - 1 at each position."""
     if (cipher.width, cipher.height) != (ek.width, ek.height):
         raise ValueError(
             f"equivalent key is for {ek.width}x{ek.height}, "
             f"image is {cipher.width}x{cipher.height}"
         )
-    plain = apply_rules(DECRYPT_TABLES[ek.k1 - 1], ek.h, cipher.pixels)
+    plain = apply_rules(DECRYPT_TABLES[ek.k1 - 1], ek.h - 1, cipher.pixels)
     return RgbImage(ek.width, ek.height, plain)
 
 

@@ -1,4 +1,4 @@
-"""The cipher: one per-position rule-table kernel for encryption and
+"""The cipher: one per-position row-select kernel for encryption and
 decryption, on packed digit triples.
 
 Images are held in raster order.  Each channel byte expands to its four
@@ -7,18 +7,18 @@ each holding an (r, g, b) digit triple packed as r<<4 | g<<2 | b; only
 `pack_triples` builds them from bytes.  A packed triple is the byte whose
 digits are (0, r, g, b), so TRIPLE_DIGITS, and every table built from it,
 reads its digits from dna.DIGITS too.  Steps (c)-(e) (complement by z_i,
-decode under k2, XOR with t_i) collapse into one decoding rule
-h_i = COMPOSED[z_i, k2 - 1, t_i] per position, so encryption is a single
-lookup per position in an 8x64 table chosen by k1: row h_i - 1, column the
-packed plaintext triple.  Decryption uses the inverse table.  `apply_rules`
-runs that lookup over any leading batch axes; `measure_avalanche` runs the
-same packed lookup to re-encrypt every flipped image in full.  Both, and the
-attack's table scans, read at most PASS_POSITIONS digit positions per pass.
+decode under k2, XOR with t_i) collapse into decoding under k2, then XOR
+with the channel mask m_i = t_i ^ 3z_i in all three channels.  So encryption
+is one lookup per position in the key's 4x64 encrypt_rows: row m_i, column
+the packed plaintext triple; decryption reads decrypt_rows.  `apply_rules`
+and `measure_avalanche`'s re-encryptions run that lookup, and they and the
+attack read at most PASS_POSITIONS digit positions per pass.
 
 Steps (a)-(b) (encode under k1, chained addition) are derived once, in
 ADDITION_TABLES; the encryption tables and the attack's stages 2-3 read it.
-The attack's stage 4 reads h_i from RULE_TABLES, their inverse per rule class.
-The literal five-step pipeline lives in the test suite, as the reference.
+Per position, steps (c)-(e) also equal decoding under one rule h_i: stage 4
+reads h_i from RULE_TABLES, and `equivalent_decrypt` reads DECRYPT_TABLES'
+row h_i - 1.  The literal five-step pipeline lives in the test suite.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .dna import (
     DIGITS,
     ENCODE,
     class_index,
-    composed_rules,
     rule_class,
 )
 from .keystream import Keystreams, SecretKey, keystreams
@@ -207,56 +206,72 @@ def unpack_triples(packed: np.ndarray) -> np.ndarray:
     return words.view(np.uint8).reshape(*words.shape, 4)[..., :3]
 
 
-def lookup_rules(table: np.ndarray, h: np.ndarray, packed: np.ndarray) -> np.ndarray:
-    """table[h_i - 1, packed_i] at every position i; the rule stream `h`
-    (entries in [1, 8]) is shared by every leading axis of `packed`."""
+# Every rule maps complementary bases to digits that sum to 3, so the
+# complement by z_i XORs the decoded digit with 3z_i.  Row m of a key's rows
+# XORs its triples with 21 * m, the channel mask m in all three channels.
+_MASK_TRIPLES = 21 * np.arange(4, dtype=np.uint8)[:, None]
+
+
+def channel_masks(streams: Keystreams) -> np.ndarray:
+    """m_i = t_i ^ 3z_i, the row code of each position in the key's rows."""
+    return streams.t ^ 3 * streams.z
+
+
+def encrypt_rows(key: SecretKey) -> np.ndarray:
+    """(4, 64): row m maps packed plain to cipher triples under mask m."""
+    return ENCRYPT_TABLES[key.k1 - 1, key.k2 - 1] ^ _MASK_TRIPLES
+
+
+def decrypt_rows(key: SecretKey) -> np.ndarray:
+    """(4, 64): row m is the inverse of encrypt_rows(key)[m]."""
+    return DECRYPT_TABLES[key.k1 - 1, key.k2 - 1][np.arange(64, dtype=np.uint8) ^ _MASK_TRIPLES]
+
+
+def lookup_rules(table: np.ndarray, rows: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """table[rows_i, packed_i] at every position i; the row codes `rows` are
+    shared by every leading axis of `packed`."""
     index = packed.astype(np.intp)
-    index += (h.astype(np.intp) - 1) << 6
+    index += rows.astype(np.intp) << 6
     return table.ravel().take(index)
 
 
-def apply_rules(table: np.ndarray, h: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+def apply_rules(table: np.ndarray, rows: np.ndarray, pixels: np.ndarray) -> np.ndarray:
     """The cipher kernel: per digit position i, replace the packed (r, g, b)
-    triple p_i by table[h_i - 1, p_i].
+    triple p_i by table[rows_i, p_i].
 
-    `table` is one k1's 8x64 slice of ENCRYPT_TABLES or DECRYPT_TABLES,
-    `pixels` has shape (..., L, 3) with any leading batch axes, and `h` holds
-    4L rules in [1, 8], shared by every image.  Runs in pixel chunks of at
-    most one pass.
+    `table` is a key's encrypt_rows or decrypt_rows, or one k1's rule rows of
+    DECRYPT_TABLES; `pixels` has shape (L, 3) and `rows` 4L row codes.  Runs
+    in pixel chunks of at most one pass.
     """
     pixels = np.asarray(pixels, dtype=np.uint8)
-    if pixels.ndim < 2 or pixels.shape[-1] != 3:
-        raise ValueError(f"pixels must have shape (..., L, 3), got {pixels.shape}")
-    n = pixels.shape[-2]
-    if h.shape != (4 * n,):
-        raise ValueError(f"rule stream must have length {4 * n}, got {h.shape}")
-    images = max(1, int(np.prod(pixels.shape[:-2])))
-    step = max(1, PASS_POSITIONS // (4 * images))
+    if pixels.ndim != 2 or pixels.shape[1] != 3:
+        raise ValueError(f"pixels must have shape (L, 3), got {pixels.shape}")
+    n = len(pixels)
+    if rows.shape != (4 * n,):
+        raise ValueError(f"row codes must have length {4 * n}, got {rows.shape}")
+    step = max(1, PASS_POSITIONS // 4)
     out = np.empty_like(pixels)
     for s in range(0, n, step):
-        packed = pack_triples(pixels[..., s:s + step, :])
-        out[..., s:s + step, :] = unpack_triples(
-            lookup_rules(table, h[4 * s:4 * (s + step)], packed)
-        )
+        packed = pack_triples(pixels[s:s + step])
+        out[s:s + step] = unpack_triples(lookup_rules(table, rows[4 * s:4 * (s + step)], packed))
     return out
 
 
-def _run_cipher(tables, img: RgbImage, key: SecretKey, streams: Keystreams | None) -> RgbImage:
+def _run_cipher(rows_for, img: RgbImage, key: SecretKey, streams: Keystreams | None) -> RgbImage:
     if streams is None:
         streams = keystreams(key, img.pixel_count)
     elif streams.pixel_count != img.pixel_count:
         raise ValueError("injected keystreams do not match the image size")
-    h = composed_rules(streams.z, key.k2, streams.t)
-    pixels = apply_rules(tables[key.k1 - 1], h, img.pixels)
+    pixels = apply_rules(rows_for(key), channel_masks(streams), img.pixels)
     return RgbImage(img.width, img.height, pixels)
 
 
 def encrypt(img: RgbImage, key: SecretKey, streams: Keystreams | None = None) -> RgbImage:
-    """Encrypt with the rule-table kernel.  `streams` bypasses the logistic
-    map (test hook / keystream reuse); rules still come from `key`."""
-    return _run_cipher(ENCRYPT_TABLES, img, key, streams)
+    """Encrypt with the row-select kernel.  `streams` bypasses the logistic
+    map (test hook / keystream reuse); rows still come from `key`."""
+    return _run_cipher(encrypt_rows, img, key, streams)
 
 
 def decrypt(img: RgbImage, key: SecretKey, streams: Keystreams | None = None) -> RgbImage:
     """Exact inverse of encrypt for the same key (and injected streams)."""
-    return _run_cipher(DECRYPT_TABLES, img, key, streams)
+    return _run_cipher(decrypt_rows, img, key, streams)

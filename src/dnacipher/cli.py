@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import os
+import secrets
 import sys
-import tempfile
 
 import numpy as np
 
@@ -66,10 +66,11 @@ def _read_bytes(path: str) -> bytes:
         raise CliError(f"cannot read {path}: {err}", EXIT_IO) from err
 
 
-def _write_atomic(path: str, data: bytes) -> None:
+def _write_atomic(path: str, data: bytes, mode: int = 0o666) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-dnacipher-")
+    tmp = os.path.join(directory, f".tmp-dnacipher-{secrets.token_hex(8)}")
+    try:  # like open(): the file gets `mode` less the umask
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), mode)
     except OSError as err:
         raise CliError(f"cannot create output in {directory}: {err}", EXIT_IO) from err
     try:
@@ -123,7 +124,7 @@ def _attack_report_text(report: AttackReport) -> str:
 def _cmd_keygen(args) -> int:
     rng = np.random.default_rng(args.seed)
     key = random_key(rng)
-    _write_atomic(args.out, format_key_text(key).encode("utf-8"))
+    _write_atomic(args.out, format_key_text(key).encode("utf-8"), 0o600)
     return EXIT_OK
 
 
@@ -151,7 +152,7 @@ def _cmd_attack(args) -> int:
     if report.recovered is None:
         sys.stderr.write(text)
         return EXIT_NO_WITNESS
-    _write_atomic(args.out, eqkey_to_bytes(report.recovered))
+    _write_atomic(args.out, eqkey_to_bytes(report.recovered), 0o600)
     return EXIT_OK
 
 

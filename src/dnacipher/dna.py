@@ -1,7 +1,6 @@
 """Finite algebra on DNA bases, as the lookup tables the cipher reads: the
-digits of every byte, the eight digit<->base map rules, base addition, the
-Watson-Crick complement, and the composed rule table that folds complement,
-decode and mask into one decoding rule.
+digits of every byte, the eight digit<->base map rules, base addition and the
+Watson-Crick complement.
 
 Everything here is a pure function over small immutable lookup tables, so the
 module is safe for unrestricted concurrent use.  Internally bases are indexed
@@ -77,18 +76,6 @@ COMPLEMENT = np.zeros(4, dtype=np.uint8)
 for _x, _y in _COMPLEMENT_PAIRS.items():
     COMPLEMENT[_code(_x)] = _code(_y)
 
-# COMPOSED[z, k2 - 1, t] -> the rule h whose decoding equals complement-by-z,
-# then decode under k2, then XOR with t.  Found by matching each composed
-# base->digit map against the eight DECODE rows; exactly one must match.
-_composed_maps = (
-    DECODE[:, np.stack([np.arange(4), COMPLEMENT])].transpose(1, 0, 2)[:, :, None, :]
-    ^ np.arange(4, dtype=np.uint8)[:, None]
-)
-_composed_match = (_composed_maps[..., None, :] == DECODE).all(axis=-1)
-if not (_composed_match.sum(axis=-1) == 1).all():
-    raise AssertionError("composed map is not a rule; lookup tables corrupt")
-COMPOSED = (_composed_match.argmax(axis=-1) + 1).astype(np.uint8)
-
 
 class RuleClass(Enum):
     """The two halves of the rule set closed under keystream composition."""
@@ -113,12 +100,6 @@ def check_digit(d: int) -> int:
     if not 0 <= d <= 3:
         raise ValueError(f"digit must be in [0, 3], got {d}")
     return d
-
-
-def composed_rules(z: np.ndarray, k2: int, t: np.ndarray) -> np.ndarray:
-    """Per-position COMPOSED lookup: the rule stream h for complement bits
-    `z` and mask digits `t` under decoding rule k2."""
-    return COMPOSED[:, check_rule(k2) - 1, :].ravel()[(z << 2) | t]
 
 
 def rule_class(rule: int) -> RuleClass:

@@ -36,7 +36,9 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
     if not token.isdigit():
-        raise PpmFormatError(f"malformed {what}: {token!r}")
+        raise PpmFormatError(f"malformed {what}: {token[:20]!r}")
+    if len(token) > 20:  # int() refuses thousands of digits with a ValueError
+        raise PpmFormatError(f"{what} has more than 20 digits")
     return int(token), pos
 
 

@@ -42,7 +42,7 @@ from dnacipher.cipher import (
     RULE_TABLES,
     SEPARATING_PAIRS,
 )
-from dnacipher.dna import COMPOSED, DECODE, Base, class_index, composed_rules, rule_class
+from dnacipher.dna import DECODE, Base, class_index, rule_class
 from dnacipher.synth import constant_image, natural_image, uniform_random_image
 
 import oracles
@@ -59,26 +59,28 @@ def composed_map(z, k2, t):
 
 
 def test_composed_rule_spot_values():
-    # COMPOSED[z, k2 - 1, t]
-    assert COMPOSED[0, 1 - 1, 0] == 1
-    assert COMPOSED[1, 7 - 1, 2] == 4
+    # COMPOSED_TABLE[(z, k2, t)]
+    assert oracles.COMPOSED_TABLE[(0, 1, 0)] == 1
+    assert oracles.COMPOSED_TABLE[(1, 7, 2)] == 4
 
 
 def test_composed_rule_matches_brute_force_and_table():
+    # exactly one rule decodes like each composed map: the printed one
     for z, k2, t in itertools.product((0, 1), range(1, 9), range(4)):
         f = composed_map(z, k2, t)
-        h = COMPOSED[z, k2 - 1, t]
-        for x in "ACGT":
-            assert oracles.decode(h, x) == f[x]
-        assert h == oracles.COMPOSED_TABLE[(z, k2, t)]
+        matches = [h for h in range(1, 9) if all(oracles.decode(h, x) == f[x] for x in "ACGT")]
+        assert matches == [oracles.COMPOSED_TABLE[(z, k2, t)]]
+        assert all(DECODE[matches[0] - 1, Base[x]] == f[x] for x in "ACGT")
 
 
-def test_composed_rules_stream_matches_table():
-    z, t = np.array(list(itertools.product((0, 1), range(4))), dtype=np.uint8).T
-    for k2 in range(1, 9):
-        assert np.array_equal(composed_rules(z, k2, t), oracles.composed_stream(z, k2, t))
-    with pytest.raises(ValueError):
-        composed_rules(z, 9, t)
+def test_composed_rule_rows_are_mask_rows():
+    # decoding under the composed rule is decoding under k2, then XOR with
+    # t ^ 3z in every channel: for every (k1, k2, z, t), row h of k1's
+    # encryption table is the (k1, k2) row XOR 21 * (t ^ 3z)
+    for k1, k2, z, t in itertools.product(range(1, 9), range(1, 9), (0, 1), range(4)):
+        h = oracles.COMPOSED_TABLE[(z, k2, t)]
+        expected = ENCRYPT_TABLES[k1 - 1, k2 - 1] ^ 21 * (t ^ 3 * z)
+        assert np.array_equal(ENCRYPT_TABLES[k1 - 1, h - 1], expected)
 
 
 def test_composed_map_is_watson_crick_bijection():
@@ -92,7 +94,7 @@ def test_composed_map_is_watson_crick_bijection():
 
 def test_composed_rule_stays_in_class():
     for z, k2, t in itertools.product((0, 1), range(1, 9), range(4)):
-        assert rule_class(COMPOSED[z, k2 - 1, t]) == rule_class(k2)
+        assert rule_class(oracles.COMPOSED_TABLE[(z, k2, t)]) == rule_class(k2)
 
 
 def test_equal_outputs_require_identity_addend():

@@ -27,11 +27,14 @@ from dnacipher.cipher import (
     RULE_TABLES,
     TRIPLE_DIGITS,
     apply_rules,
+    channel_masks,
+    decrypt_rows,
+    encrypt_rows,
     pack_planes,
     pack_triples,
     unpack_triples,
 )
-from dnacipher.dna import DIGITS, class_index, composed_rules, rule_class
+from dnacipher.dna import DIGITS, class_index, rule_class
 from dnacipher.keystream import keystreams, random_key
 
 import oracles
@@ -325,54 +328,57 @@ def test_injected_stream_length_must_match():
 # --- The rule-table kernel against the step-function pipeline. ---
 
 
-@pytest.mark.parametrize("images", [1, 3])
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     k1=st.integers(1, 8),
     k2=st.integers(1, 8),
     pixel_count=st.integers(1, 12),
     data=st.data(),
 )
-def test_apply_rules_matches_step_pipeline(images, k1, k2, pixel_count, data):
+def test_apply_rules_matches_step_pipeline(k1, k2, pixel_count, data):
     positions = 4 * pixel_count
-    pixels = data.draw(hnp.arrays(np.uint8, (images, pixel_count, 3)))
+    pixels = data.draw(hnp.arrays(np.uint8, (pixel_count, 3)))
     z = data.draw(hnp.arrays(np.uint8, positions, elements=st.integers(0, 1)))
     t = data.draw(hnp.arrays(np.uint8, positions, elements=st.integers(0, 3)))
     key = SecretKey(k1, k2, 0.5, 3.8, 0.5, 3.8)
     ks = Keystreams(z=z, t=t)
-    h = composed_rules(z, k2, t)
-    forward = apply_rules(ENCRYPT_TABLES[k1 - 1], h, pixels)
-    inverse = apply_rules(DECRYPT_TABLES[k1 - 1], h, forward)
-    assert forward.shape == pixels.shape
-    assert np.array_equal(inverse, pixels)
-    for i in range(images):
-        img = RgbImage(pixel_count, 1, pixels[i])
-        cipher = oracles.pipeline_encrypt(img, key, ks)
-        assert np.array_equal(forward[i], cipher.pixels)
-        assert np.array_equal(
-            apply_rules(DECRYPT_TABLES[k1 - 1], h, cipher.pixels),
-            oracles.pipeline_decrypt(cipher, key, ks).pixels,
-        )
+    cipher = oracles.pipeline_encrypt(RgbImage(pixel_count, 1, pixels), key, ks)
+    m = channel_masks(ks)
+    forward = apply_rules(encrypt_rows(key), m, pixels)
+    assert np.array_equal(forward, cipher.pixels)
+    assert np.array_equal(
+        apply_rules(decrypt_rows(key), m, cipher.pixels),
+        oracles.pipeline_decrypt(cipher, key, ks).pixels,
+    )
+    assert np.array_equal(apply_rules(decrypt_rows(key), m, forward), pixels)
+    # the composed rules select the same triples from k1's rule rows
+    h = oracles.composed_stream(z, k2, t)
+    assert np.array_equal(apply_rules(ENCRYPT_TABLES[k1 - 1], h - 1, pixels), forward)
+    assert np.array_equal(apply_rules(DECRYPT_TABLES[k1 - 1], h - 1, forward), pixels)
 
 
 def test_apply_rules_pass_size_does_not_change_output(monkeypatch):
     import dnacipher.cipher as cipher_module
 
     rng = np.random.default_rng(7)
-    pixels = rng.integers(0, 256, (2, 37, 3), dtype=np.uint8)
-    h = rng.integers(1, 9, 4 * 37).astype(np.uint8)
-    whole = apply_rules(ENCRYPT_TABLES[4], h, pixels)
+    pixels = rng.integers(0, 256, (37, 3), dtype=np.uint8)
+    rows = rng.integers(0, 8, 4 * 37).astype(np.uint8)
+    whole = apply_rules(ENCRYPT_TABLES[4], rows, pixels)
     for positions in (1, 8, 40, 72):
         monkeypatch.setattr(cipher_module, "PASS_POSITIONS", positions)
-        assert np.array_equal(apply_rules(ENCRYPT_TABLES[4], h, pixels), whole)
+        assert np.array_equal(apply_rules(ENCRYPT_TABLES[4], rows, pixels), whole)
 
 
 def test_apply_rules_rejects_bad_shapes():
     pixels = np.zeros((4, 3), dtype=np.uint8)
+    rows = np.zeros(16, dtype=np.uint8)
     with pytest.raises(ValueError):
-        apply_rules(ENCRYPT_TABLES[0], np.ones(15, dtype=np.uint8), pixels)
+        apply_rules(ENCRYPT_TABLES[0], rows[:15], pixels)
     with pytest.raises(ValueError):
-        apply_rules(ENCRYPT_TABLES[0], np.ones(16, dtype=np.uint8), np.zeros((4, 4), np.uint8))
+        apply_rules(ENCRYPT_TABLES[0], rows, np.zeros((4, 4), np.uint8))
+    # one image at a time: no leading batch axes
+    with pytest.raises(ValueError):
+        apply_rules(ENCRYPT_TABLES[0], rows, pixels[None])
 
 
 def test_rule_tables_are_mutually_inverse_permutations():

@@ -2,6 +2,7 @@
 
 import os
 import shutil
+import stat
 import subprocess
 import sys
 
@@ -281,6 +282,32 @@ def test_unwritable_output_is_io_error(workdir, capsys):
     assert "cannot write" in capsys.readouterr().err
     # no stray temp files left behind
     assert not [p for p in os.listdir(workdir) if p.startswith(".tmp-")]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_output_modes_follow_umask_except_keys(workdir):
+    def run(line):
+        command, *args = line.split()
+        assert main([command, *(a if a.startswith("--") else str(workdir / a) for a in args)]) == 0
+
+    write_image(workdir / "p.ppm", natural_image(48, 48, seed=52))
+    old = os.umask(0o022)
+    try:
+        assert main(["keygen", "--out", str(workdir / "k.key"), "--seed", "5"]) == 0
+        run("encrypt --key k.key --in p.ppm --out c.ppm")
+        run("decrypt --key k.key --in c.ppm --out d.ppm")
+        run("attack --plain p.ppm --cipher c.ppm --out k.eqk --report r.txt")
+        run("eqdecrypt --eqkey k.eqk --in c.ppm --out e.ppm")
+        os.umask(0o077)
+        run("encrypt --key k.key --in p.ppm --out strict.ppm")
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in workdir.iterdir()}
+    del modes["p.ppm"]
+    assert modes == {
+        "k.key": 0o600, "k.eqk": 0o600, "strict.ppm": 0o600,
+        "c.ppm": 0o644, "d.ppm": 0o644, "e.ppm": 0o644, "r.txt": 0o644,
+    }
 
 
 def test_bad_eqkey_file_is_input_error(workdir, capsys):

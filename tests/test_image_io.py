@@ -74,6 +74,24 @@ def test_malformed_rejected(data):
         read_ppm(data)
 
 
+@pytest.mark.parametrize("field", range(3))
+def test_header_numbers_past_20_digits_rejected(field):
+    # a 5000-digit token is past int()'s own digit limit; 20 digits still read,
+    # and the message quotes at most 20 bytes of a malformed token
+    numbers = [b"1", b"1", b"255"]
+    numbers[field] = b"0" * (20 - len(numbers[field])) + numbers[field]
+    header = b"P6\n%s %s\n%s\n" % tuple(numbers)
+    assert read_ppm(header + bytes(3)) == read_ppm(b"P6\n1 1\n255\n" + bytes(3))
+    what = ("width", "height", "maxval")[field]
+    for token in (b"0" + numbers[field], b"1" * 5000):
+        numbers[field] = token
+        with pytest.raises(PpmFormatError, match=f"^{what} has more than 20 digits$"):
+            read_ppm(b"P6\n%s %s\n%s\n" % tuple(numbers) + bytes(3))
+    numbers[field] = b"x" * (1 << 20)
+    with pytest.raises(PpmFormatError, match=f"^malformed {what}: b'x{{20}}'$"):
+        read_ppm(b"P6\n%s %s\n%s\n" % tuple(numbers) + bytes(3))
+
+
 def _read_outcome(data):
     try:
         img = read_ppm(data)

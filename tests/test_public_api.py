@@ -4,7 +4,7 @@ visible diff."""
 import types
 
 import dnacipher
-from dnacipher import attack, dna
+from dnacipher import analysis, attack, cipher, dna
 
 PUBLIC_API = [
     "AttackReport",
@@ -50,8 +50,10 @@ PUBLIC_API = [
     "z_sequence",
 ]
 
-# Scalar helpers the cipher never ran; tests check the tables it reads, and
-# tests/oracles.py keeps the independent scalar versions.
+# Scalar helpers the cipher never ran, and the composed-rule table and stream
+# it no longer reads (its rows are picked by the channel mask t ^ 3z); tests
+# check the tables it reads, and tests/oracles.py keeps the independent
+# scalar versions and COMPOSED_TABLE.
 REMOVED = [
     "encode_digit",
     "decode_base",
@@ -62,6 +64,8 @@ REMOVED = [
     "RULE_FROM_PAIR",
     "rule_from_pair",
     "composed_rule",
+    "COMPOSED",
+    "composed_rules",
 ]
 
 
@@ -72,5 +76,5 @@ def test_public_api():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_API
-    for module in (dnacipher, dna, attack):
+    for module in (dnacipher, dna, attack, cipher, analysis):
         assert not [name for name in REMOVED if hasattr(module, name)], module
