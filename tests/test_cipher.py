@@ -328,33 +328,36 @@ def test_injected_stream_length_must_match():
 # --- The rule-table kernel against the step-function pipeline. ---
 
 
-@settings(max_examples=80, deadline=None)
+@pytest.mark.parametrize("images", [1, 3])
+@settings(max_examples=40, deadline=None)
 @given(
     k1=st.integers(1, 8),
     k2=st.integers(1, 8),
     pixel_count=st.integers(1, 12),
     data=st.data(),
 )
-def test_apply_rules_matches_step_pipeline(k1, k2, pixel_count, data):
+def test_apply_rules_matches_step_pipeline(images, k1, k2, pixel_count, data):
     positions = 4 * pixel_count
-    pixels = data.draw(hnp.arrays(np.uint8, (pixel_count, 3)))
     z = data.draw(hnp.arrays(np.uint8, positions, elements=st.integers(0, 1)))
     t = data.draw(hnp.arrays(np.uint8, positions, elements=st.integers(0, 3)))
     key = SecretKey(k1, k2, 0.5, 3.8, 0.5, 3.8)
     ks = Keystreams(z=z, t=t)
-    cipher = oracles.pipeline_encrypt(RgbImage(pixel_count, 1, pixels), key, ks)
     m = channel_masks(ks)
-    forward = apply_rules(encrypt_rows(key), m, pixels)
-    assert np.array_equal(forward, cipher.pixels)
-    assert np.array_equal(
-        apply_rules(decrypt_rows(key), m, cipher.pixels),
-        oracles.pipeline_decrypt(cipher, key, ks).pixels,
-    )
-    assert np.array_equal(apply_rules(decrypt_rows(key), m, forward), pixels)
-    # the composed rules select the same triples from k1's rule rows
     h = oracles.composed_stream(z, k2, t)
-    assert np.array_equal(apply_rules(ENCRYPT_TABLES[k1 - 1], h - 1, pixels), forward)
-    assert np.array_equal(apply_rules(DECRYPT_TABLES[k1 - 1], h - 1, forward), pixels)
+    # one image per call; several images share the key's rows and masks
+    for _ in range(images):
+        pixels = data.draw(hnp.arrays(np.uint8, (pixel_count, 3)))
+        cipher = oracles.pipeline_encrypt(RgbImage(pixel_count, 1, pixels), key, ks)
+        forward = apply_rules(encrypt_rows(key), m, pixels)
+        assert np.array_equal(forward, cipher.pixels)
+        assert np.array_equal(
+            apply_rules(decrypt_rows(key), m, cipher.pixels),
+            oracles.pipeline_decrypt(cipher, key, ks).pixels,
+        )
+        assert np.array_equal(apply_rules(decrypt_rows(key), m, forward), pixels)
+        # the composed rules select the same triples from k1's rule rows
+        assert np.array_equal(apply_rules(ENCRYPT_TABLES[k1 - 1], h - 1, pixels), forward)
+        assert np.array_equal(apply_rules(DECRYPT_TABLES[k1 - 1], h - 1, forward), pixels)
 
 
 def test_apply_rules_pass_size_does_not_change_output(monkeypatch):
