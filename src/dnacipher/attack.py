@@ -14,13 +14,13 @@ test suite:
 
 Every stage's test at a position depends only on the pair index
 plain << 6 | cipher of its packed triples, so each stage is a lookup in a
-table over the 4096 indices, derived from the cipher's tables on first use.
+table over the 4096 indices, derived from ENCRYPT_TABLES on first use.
 Every stage reads the pair index in the cipher kernel's passes of
 PASS_POSITIONS positions.  Stages 1-3 want one witness each, the first
 position in raster order that passes: they stop at the first pass with a
 hit, so reports are deterministic and a witness near the start costs one
-pass.  Stage 4 reads h_i at every position off RULE_TABLES, the inverse of
-the cipher's tables, and so rejects non-genuine pairs.
+pass.  Stage 4 reads h_i at every position off the inverse of the class's
+four ENCRYPT_TABLES rows, and so rejects non-genuine pairs.
 """
 
 from __future__ import annotations
@@ -32,16 +32,12 @@ from enum import Enum
 
 import numpy as np
 
-from .dna import DECODE, Base, RuleClass, check_digit, check_rule, class_index
+from .dna import DECODE, Base, RuleClass, check_digit, check_rule
 from .cipher import (
-    ADDITION_TABLES,
     DECRYPT_TABLES,
+    ENCRYPT_TABLES,
     EQUAL_GB,
-    EQUAL_PAIRS,
-    PAIRS,
     PASS_POSITIONS,
-    RULE_TABLES,
-    SEPARATING_PAIRS,
     TRIPLE_DIGITS,
     DigitImage,
     RgbImage,
@@ -132,27 +128,55 @@ def _stage_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stages 1-3 at each pair index, 0 where it is no witness.  Stage 1:
     map_c + 1 where the cipher's g and b digits are equal.  Stage 2, a row
     per map_c: the k1 candidate (1 or 2) that alone predicts the cipher's
-    post-addition equality pattern.  Stage 3, a row per k1: where the bases
-    have a separating pair, the class (1 A, 2 B, 3 neither) its XOR shows."""
+    channel-equality pattern.  Stage 3, a row per k1: where the
+    post-addition bases have a separating pair, the class (1 A, 2 B, 3
+    neither) its cipher XOR shows.
+
+    Stages 2-3 read F1 = ENCRYPT_TABLES[:, 0], the post-addition bases
+    decoded under rule 1 (class A) with mask 0.  A rule decodes each base to
+    one digit, and the mask XORs every channel alike, so two channels are
+    equal after addition exactly where their F1 digits and their cipher
+    digits are equal.  Distinct, non-complementary bases (a separating pair)
+    decode to digits whose XOR is 1 or 2 under every rule, the same under
+    every rule of a class and swapped between the classes; equal and
+    complementary bases give 0 and 3.
+    """
     plain, cipher = np.divmod(np.arange(4096), 64)
     stage1 = np.where(EQUAL_GB[cipher], TRIPLE_DIGITS[2, plain] + 1, 0)
+    f1 = ENCRYPT_TABLES[:, 0, plain]
+    # pair_xors[k, p]: the XOR of the digits of channel pair k of packed
+    # triple p, for the pairs (r, g), (r, b) and (g, b) in turn; pattern[p]
+    # has bit k set where that XOR is 0.
+    pair_xors = TRIPLE_DIGITS[[0, 0, 1]] ^ TRIPLE_DIGITS[[1, 2, 2]]
+    pattern = (pair_xors == 0).T @ np.array([1, 2, 4])
     cands = np.array([k1_candidates(m) for m in range(4)]) - 1
-    patterns = EQUAL_PAIRS[ADDITION_TABLES[cands][..., plain]]
-    match = patterns == EQUAL_PAIRS[cipher]
+    patterns = pattern[f1[cands]]
+    match = patterns == pattern[cipher]
     witness = (patterns[:, 0] != patterns[:, 1]) & (match[:, 0] ^ match[:, 1])
     stage2 = np.where(witness, 2 - match[:, 0], 0)
-    post = ADDITION_TABLES[:, plain]
-    separating = SEPARATING_PAIRS[post]
-    # Channels of the first separating pair: bit k of `separating` is PAIRS[k].
-    ci, cj = np.moveaxis(np.array(PAIRS)[(separating & -separating) >> 1], -1, 0)
-    class_a = DECODE[RuleClass.A.rules[0] - 1]
-    expected = class_a[TRIPLE_DIGITS[ci, post]] ^ class_a[TRIPLE_DIGITS[cj, post]]
-    xor = TRIPLE_DIGITS[ci, cipher] ^ TRIPLE_DIGITS[cj, cipher]
-    stage3 = np.select([separating == 0, xor == expected, xor == 3 - expected], [0, 1, 2], 3)
+    # The first pair whose F1 digits XOR to 1 or 2; pair 0, with XOR 0 or 3,
+    # where there is none.
+    xors = pair_xors[:, f1]
+    first = ((xors == 1) | (xors == 2)).argmax(axis=0)
+    expected, xor = pair_xors[first, f1], pair_xors[first, cipher]
+    separating = (expected == 1) | (expected == 2)
+    stage3 = np.select([~separating, xor == expected, xor == 3 - expected], [0, 1, 2], 3)
     tables = tuple(t.astype(np.uint8) for t in (stage1, stage2, stage3))
     for t in tables:
         t.flags.writeable = False  # the cached arrays serve every caller
     return tables
+
+
+@functools.cache
+def _rule_table(k1: int, cls: RuleClass) -> np.ndarray:
+    """Stage 4 at each pair index: the rule h of class `cls` with
+    ENCRYPT_TABLES[k1 - 1, h - 1, plain] == cipher, or 0 if none (unique: a
+    class's rules send any base to four distinct digits)."""
+    table = np.zeros((64, 64), dtype=np.uint8)
+    for h in cls.rules:
+        table[np.arange(64), ENCRYPT_TABLES[k1 - 1, h - 1]] = h
+    table.flags.writeable = False  # the cached table serves every caller
+    return table.ravel()
 
 
 def _first_hit(table: np.ndarray, q: np.ndarray, stage: FailureStage) -> tuple[int, int]:
@@ -236,7 +260,7 @@ def recover_equivalent_key(plain: RgbImage, cipher: RgbImage) -> AttackReport:
         return report
 
     # Stage 4: every position's (plain, cipher) triple pair names its rule.
-    table = RULE_TABLES[k1 - 1, class_index(report.k2_class)].ravel()
+    table = _rule_table(k1, report.k2_class)
     h = np.empty(q.size, dtype=np.uint8)
     for s in range(0, q.size, PASS_POSITIONS):
         table.take(q[s:s + PASS_POSITIONS], out=h[s:s + PASS_POSITIONS])

@@ -11,14 +11,15 @@ decode under k2, XOR with t_i) collapse into decoding under k2, then XOR
 with the channel mask m_i = t_i ^ 3z_i in all three channels.  So encryption
 is one lookup per position in the key's 4x64 encrypt_rows: row m_i, column
 the packed plaintext triple; decryption reads decrypt_rows.  `apply_rules`
-and `measure_avalanche`'s re-encryptions run that lookup, and they and the
-attack read at most PASS_POSITIONS digit positions per pass.
+runs that lookup, and it and the attack read at most PASS_POSITIONS digit
+positions per pass.
 
-Steps (a)-(b) (encode under k1, chained addition) are derived once, in
-ADDITION_TABLES; the encryption tables and the attack's stages 2-3 read it.
-Per position, steps (c)-(e) also equal decoding under one rule h_i: stage 4
-reads h_i from RULE_TABLES, and `equivalent_decrypt` reads DECRYPT_TABLES'
-row h_i - 1.  The literal five-step pipeline lives in the test suite.
+Steps (a)-(b) (encode under k1, chained addition), followed by decoding
+under a rule h, are derived once, in ENCRYPT_TABLES[k1 - 1, h - 1]; every
+other table of the cipher and the attack is derived from it.  Per position,
+steps (c)-(e) also equal decoding under one rule h_i, so `equivalent_decrypt`
+reads DECRYPT_TABLES' row h_i - 1.  The literal five-step pipeline and the
+base-domain tables live in the test suite.
 """
 
 from __future__ import annotations
@@ -28,15 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dna import (
-    ADD,
-    COMPLEMENT,
-    DECODE,
-    DIGITS,
-    ENCODE,
-    class_index,
-    rule_class,
-)
+from .dna import ADD, DECODE, DIGITS, ENCODE
 from .keystream import Keystreams, SecretKey, keystreams
 
 
@@ -91,6 +84,7 @@ class DigitImage:
     def __post_init__(self):
         self.width, self.height = positive_dimensions(self.width, self.height, "image")
         n = 4 * self.width * self.height
+        self.packed = np.asarray(self.packed)
         if self.packed.shape != (n,) or self.packed.dtype != np.uint8:
             raise ValueError(f"packed digit triples must be {n} uint8 entries")
         if (self.packed >= 64).any():
@@ -128,7 +122,7 @@ def pack_planes(r, g, b) -> np.ndarray:
     return ((r << 4) | (g << 2) | b).astype(np.uint8, copy=False)
 
 
-def _build_rule_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _build_rule_tables() -> tuple[np.ndarray, np.ndarray]:
     # Post-addition bases of every packed triple under every k1, each (8, 64).
     er, eg, eb = (ENCODE[:, d] for d in TRIPLE_DIGITS)
     ng = ADD[eg, eb]
@@ -137,30 +131,14 @@ def _build_rule_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     decoded = pack_planes(*(DECODE[:, p] for p in planes))
     forward = np.ascontiguousarray(decoded.transpose(1, 0, 2))
     # Every row is a permutation of 0..63, so argsort gives its inverse.
-    return pack_planes(*planes), forward, np.argsort(forward, axis=-1).astype(np.uint8)
+    return forward, np.argsort(forward, axis=-1).astype(np.uint8)
 
 
-# ADDITION_TABLES[k1 - 1, packed plain triple] -> packed post-addition base
-# triple (encode under k1, chained addition; base codes in place of digits).
 # ENCRYPT_TABLES[k1 - 1, h - 1, packed plain triple] -> packed cipher triple
-# (that triple decoded under h); DECRYPT_TABLES holds the inverse of every row.
-ADDITION_TABLES, ENCRYPT_TABLES, DECRYPT_TABLES = _build_rule_tables()
+# (encode under k1, chained addition, decode under h); DECRYPT_TABLES holds
+# the inverse of every row.
+ENCRYPT_TABLES, DECRYPT_TABLES = _build_rule_tables()
 
-# RULE_TABLES[k1 - 1, class index, packed plain, packed cipher] -> the rule h
-# of that class with ENCRYPT_TABLES[k1 - 1, h - 1, plain] == cipher, or 0 if
-# none (unique: a class's rules send any base to four distinct digits).
-RULE_TABLES = np.zeros((8, 2, 64, 64), dtype=np.uint8)
-_k1, _plain = np.indices((8, 64))
-for _h in range(1, 9):
-    RULE_TABLES[_k1, class_index(rule_class(_h)), _plain, ENCRYPT_TABLES[:, _h - 1]] = _h
-
-# Bit k of EQUAL_PAIRS[p] (SEPARATING_PAIRS[p]) is set when components PAIRS[k]
-# of packed digit or base triple p are equal (distinct, non-complementary).
-PAIRS = ((0, 1), (0, 2), (1, 2))
-EQUAL_PAIRS, SEPARATING_PAIRS = (
-    sum(test(*TRIPLE_DIGITS[[i, j]]) << k for k, (i, j) in enumerate(PAIRS)).astype(np.uint8)
-    for test in (np.equal, lambda x, y: (x != y) & (y != COMPLEMENT[x]))
-)
 # EQUAL_GB[p]: the g and b digits of packed triple p are equal.  On a cipher
 # triple this is the structure leak: it holds exactly where the plain b digit
 # is the one k1 maps to C, the identity of base addition.
@@ -227,14 +205,6 @@ def decrypt_rows(key: SecretKey) -> np.ndarray:
     return DECRYPT_TABLES[key.k1 - 1, key.k2 - 1][np.arange(64, dtype=np.uint8) ^ _MASK_TRIPLES]
 
 
-def lookup_rules(table: np.ndarray, rows: np.ndarray, packed: np.ndarray) -> np.ndarray:
-    """table[rows_i, packed_i] at every position i; the row codes `rows` are
-    shared by every leading axis of `packed`."""
-    index = packed.astype(np.intp)
-    index += rows.astype(np.intp) << 6
-    return table.ravel().take(index)
-
-
 def apply_rules(table: np.ndarray, rows: np.ndarray, pixels: np.ndarray) -> np.ndarray:
     """The cipher kernel: per digit position i, replace the packed (r, g, b)
     triple p_i by table[rows_i, p_i].
@@ -252,8 +222,9 @@ def apply_rules(table: np.ndarray, rows: np.ndarray, pixels: np.ndarray) -> np.n
     step = max(1, PASS_POSITIONS // 4)
     out = np.empty_like(pixels)
     for s in range(0, n, step):
-        packed = pack_triples(pixels[s:s + step])
-        out[s:s + step] = unpack_triples(lookup_rules(table, rows[4 * s:4 * (s + step)], packed))
+        index = pack_triples(pixels[s:s + step]).astype(np.intp)
+        index += rows[4 * s:4 * (s + step)].astype(np.intp) << 6
+        out[s:s + step] = unpack_triples(table.ravel().take(index))
     return out
 
 

@@ -1,6 +1,5 @@
 """Finite algebra on DNA bases, as the lookup tables the cipher reads: the
-digits of every byte, the eight digit<->base map rules, base addition and the
-Watson-Crick complement.
+digits of every byte, the eight digit<->base map rules and base addition.
 
 Everything here is a pure function over small immutable lookup tables, so the
 module is safe for unrestricted concurrent use.  Internally bases are indexed
@@ -45,7 +44,6 @@ _ADD_ROWS = {
     "C": "ATCG",
     "G": "CAGT",
 }
-_COMPLEMENT_PAIRS = {"A": "T", "T": "A", "C": "G", "G": "C"}
 
 
 def _code(ch: str) -> int:
@@ -71,10 +69,6 @@ ADD = np.zeros((4, 4), dtype=np.uint8)
 for _row, _entries in _ADD_ROWS.items():
     for _col, _res in zip("ATCG", _entries):
         ADD[_code(_row), _code(_col)] = _code(_res)
-
-COMPLEMENT = np.zeros(4, dtype=np.uint8)
-for _x, _y in _COMPLEMENT_PAIRS.items():
-    COMPLEMENT[_code(_x)] = _code(_y)
 
 
 class RuleClass(Enum):
@@ -104,11 +98,3 @@ def check_digit(d: int) -> int:
 
 def rule_class(rule: int) -> RuleClass:
     return RuleClass.A if check_rule(rule) in RuleClass.A.rules else RuleClass.B
-
-
-_CLASS_INDEX = {RuleClass.A: 0, RuleClass.B: 1}
-
-
-def class_index(cls: RuleClass) -> int:
-    return _CLASS_INDEX[cls]
-

@@ -2,17 +2,23 @@
 
 Everything above the "Reference pipeline" section is deliberately scalar and
 dict-based, re-transcribed from the printed tables, so it shares no code (and
-no transcription) with the package's vectorised lookup paths.  That section
-holds the literal five-step pipeline: one vectorised function per cipher step
-over the package's `dna` tables (subtraction, which the package never does,
-over a table built from the transcription here), chained into whole-image
-encryption and decryption, plus the per-trial avalanche loop.  It splits
-images into its own per-channel digit planes with the scalar byte splitter,
-so it shares no code with the package's digit table or packed triples.
-These are the references the rule-table kernel and the batched avalanche are
-checked against; the package itself never runs the steps one by one.  The
-"Reference attack" section runs attack stages 1-3 as full scans over every
-position, the reference for the package's chunked table searches.  The last
+no transcription) with the package's vectorised lookup paths.  Its
+"Base-domain tables" are arrays filled entry by entry from those
+transcriptions: post-addition base triples, pair bits, the complement and the
+per-class rule tables.  The package keeps none of them; it derives the
+attack's tables from its one cipher table, and these are what those are
+checked against.  The "Reference pipeline" section holds the literal
+five-step pipeline: one vectorised function per cipher step over the
+package's `dna` tables (complement and subtraction, which the package never
+does, over tables built from the transcriptions here), chained into
+whole-image encryption and decryption, plus the per-trial avalanche loop.  It
+splits images into its own per-channel digit planes with the scalar byte
+splitter, so it shares no code with the package's digit table or packed
+triples.  These are the references the rule-table kernel and the batched
+avalanche are checked against; the package itself never runs the steps one by
+one.  The "Reference attack" section runs attack stages 1-3 as full scans
+over every position, the reference for the package's chunked table searches,
+and derives the stage tables on bases, pair index by pair index.  The last
 section holds the byte-at-a-time PPM header scanner, the reference for
 `read_ppm`'s one-pattern tokenizer.
 """
@@ -31,25 +37,8 @@ from dnacipher.attack import (
     MissingWitnessError,
     k1_candidates,
 )
-from dnacipher.cipher import (
-    ADDITION_TABLES,
-    EQUAL_PAIRS,
-    PAIRS,
-    RULE_TABLES,
-    SEPARATING_PAIRS,
-    RgbImage,
-    image_to_digits,
-)
-from dnacipher.dna import (
-    ADD,
-    COMPLEMENT,
-    DECODE,
-    ENCODE,
-    Base,
-    RuleClass,
-    check_rule,
-    class_index,
-)
+from dnacipher.cipher import RgbImage, image_to_digits
+from dnacipher.dna import ADD, DECODE, ENCODE, Base, RuleClass, check_rule
 from dnacipher.keystream import KeystreamDegenerationError, check_logistic_params
 from dnacipher.ppm import PpmFormatError
 
@@ -240,6 +229,68 @@ def enumerate_flip_footprints():
                     max_digits[channel] = max(max_digits[channel], len(changed))
                     max_bits[channel] = max(max_bits[channel], bits)
     return {c: (union[c], max_digits[c], max_bits[c]) for c in range(3)}
+
+
+# --- Base-domain tables, built entry by entry from the transcriptions. ---
+
+# Packed triples hold (r, g, b) digits, or base codes in the package's order
+# A=0, C=1, G=2, T=3 (BASES[code] is the base), as r<<4 | g<<2 | b.
+BASES = "ACGT"
+
+
+def unpack(p) -> tuple[int, int, int]:
+    p = int(p)
+    return p >> 4, (p >> 2) & 3, p & 3
+
+
+def pack(r: int, g: int, b: int) -> int:
+    return (r << 4) | (g << 2) | b
+
+
+# COMPLEMENT[base code] -> the complementary base code.
+COMPLEMENT = np.array([BASES.index(COMP[x]) for x in BASES], dtype=np.uint8)
+
+# ADDITION_TABLES[k1 - 1, packed plain digits] -> packed post-addition bases
+# (encode under k1, chained addition).
+ADDITION_TABLES = np.array(
+    [
+        [
+            pack(*(BASES.index(x) for x in addition_chain(*(encode(k1, d) for d in unpack(p)))))
+            for p in range(64)
+        ]
+        for k1 in range(1, 9)
+    ],
+    dtype=np.uint8,
+)
+
+# Bit k of EQUAL_PAIRS[p] (SEPARATING_PAIRS[p]) is set when components PAIRS[k]
+# of packed triple p are equal (distinct bases, and not complementary).
+PAIRS = ((0, 1), (0, 2), (1, 2))
+EQUAL_PAIRS = np.array(
+    [sum((t[i] == t[j]) << k for k, (i, j) in enumerate(PAIRS)) for t in map(unpack, range(64))],
+    dtype=np.uint8,
+)
+SEPARATING_PAIRS = np.array(
+    [
+        sum((t[i] != t[j] and t[j] != COMPLEMENT[t[i]]) << k for k, (i, j) in enumerate(PAIRS))
+        for t in map(unpack, range(64))
+    ],
+    dtype=np.uint8,
+)
+
+
+def class_index(cls: RuleClass) -> int:
+    return (RuleClass.A, RuleClass.B).index(cls)
+
+
+# RULE_TABLES[k1 - 1, class index, packed plain, packed cipher] -> the rule h
+# of that class that decodes the plain triple's post-addition bases to the
+# cipher triple, or 0 if none.
+RULE_TABLES = np.zeros((8, 2, 64, 64), dtype=np.uint8)
+for _k1, _h, _p in itertools.product(range(1, 9), range(1, 9), range(64)):
+    _c = pack(*(decode(_h, BASES[x]) for x in unpack(ADDITION_TABLES[_k1 - 1, _p])))
+    _ci = class_index(RuleClass.A if _h in RuleClass.A.rules else RuleClass.B)
+    RULE_TABLES[_k1 - 1, _ci, _p, _c] = _h
 
 
 # --- Reference orbit: one logistic step per loop pass, checked in the loop. ---
@@ -449,11 +500,9 @@ def reference_k2_class(pd, cd, k1):
     i2 = int(hits[0])
     n = int(post[pd.packed[i2]])
     i, j = next(pair for k, pair in enumerate(PAIRS) if SEPARATING_PAIRS[n] >> k & 1)
-    bases = (n >> 4, (n >> 2) & 3, n & 3)
-    m = int(cd.packed[i2])
-    digits = (m >> 4, (m >> 2) & 3, m & 3)
-    class_a = DECODE[RuleClass.A.rules[0] - 1]
-    expected_a = int(class_a[bases[i]]) ^ int(class_a[bases[j]])
+    bases = unpack(n)
+    digits = unpack(cd.packed[i2])
+    expected_a = decode(1, BASES[bases[i]]) ^ decode(1, BASES[bases[j]])
     xor = digits[i] ^ digits[j]
     if xor == expected_a:
         return RuleClass.A, i2
@@ -462,6 +511,37 @@ def reference_k2_class(pd, cd, k1):
     raise ValueError(
         "cipher digits inconsistent with the pipeline; not a genuine pair"
     )
+
+
+def stage_tables():
+    """The attack's stage 1-3 tables over the pair indices plain << 6 |
+    cipher, derived in the base domain as the reference scans above test
+    each position: stage 1 from the cipher's g and b digits, stage 2 from
+    the candidates' post-addition equality patterns, stage 3 from the first
+    separating post-addition pair."""
+    stage1 = np.zeros(4096, dtype=np.uint8)
+    stage2 = np.zeros((4, 4096), dtype=np.uint8)
+    stage3 = np.zeros((8, 4096), dtype=np.uint8)
+    for plain, cipher in itertools.product(range(64), repeat=2):
+        q = plain << 6 | cipher
+        digits = unpack(cipher)
+        if digits[1] == digits[2]:
+            stage1[q] = unpack(plain)[2] + 1
+        for map_c, cands in K1_SCOPE.items():
+            patterns = [EQUAL_PAIRS[ADDITION_TABLES[c - 1, plain]] for c in cands]
+            matches = [p == EQUAL_PAIRS[cipher] for p in patterns]
+            if patterns[0] != patterns[1] and matches[0] != matches[1]:
+                stage2[map_c, q] = 1 if matches[0] else 2
+        for k1 in range(1, 9):
+            n = int(ADDITION_TABLES[k1 - 1, plain])
+            pairs = [pair for k, pair in enumerate(PAIRS) if SEPARATING_PAIRS[n] >> k & 1]
+            if pairs:
+                i, j = pairs[0]
+                bases = unpack(n)
+                expected_a = decode(1, BASES[bases[i]]) ^ decode(1, BASES[bases[j]])
+                xor = digits[i] ^ digits[j]
+                stage3[k1 - 1, q] = {expected_a: 1, 3 - expected_a: 2}.get(xor, 3)
+    return stage1, stage2, stage3
 
 
 def reference_attack(plain, cipher):

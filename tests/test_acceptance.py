@@ -22,13 +22,13 @@ from dnacipher import (
     recover_equivalent_key,
 )
 from dnacipher.cli import main as cli_main
-from dnacipher.dna import ADD, COMPLEMENT, DECODE, ENCODE
+from dnacipher.dna import ADD, DECODE, ENCODE
 from dnacipher.keystream import format_key_text, random_key
 from dnacipher.ppm import write_ppm
 from dnacipher.synth import constant_image, natural_image, uniform_random_image
 
 import oracles
-from oracles import addition_step
+from oracles import COMPLEMENT, addition_step
 from conftest import TRUE_KEY, WRONG_KEY
 from test_cipher import chars_from_triples, triples_from_chars
 

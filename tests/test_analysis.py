@@ -89,10 +89,8 @@ def test_avalanche_counts_violations_of_a_mixing_kernel(monkeypatch, true_key):
 
     img = natural_image(8, 8, seed=44)
     honest = measure_avalanche(img, true_key, trials=60, seed=1)
-    real = analysis.lookup_rules
-    monkeypatch.setattr(
-        analysis, "lookup_rules", lambda table, h, packed: np.roll(real(table, h, packed), 4, axis=-1)
-    )
+    real = analysis.pack_triples
+    monkeypatch.setattr(analysis, "pack_triples", lambda pixels: np.roll(real(pixels), 4, axis=-1))
     mixed = measure_avalanche(img, true_key, trials=60, seed=1)
     assert honest.locality_violations == 0
     assert mixed.locality_violations == 60

@@ -35,14 +35,8 @@ from dnacipher import (
     recover_map_c,
 )
 from dnacipher.keystream import keystreams, random_key
-from dnacipher.cipher import (
-    ADDITION_TABLES,
-    ENCRYPT_TABLES,
-    EQUAL_PAIRS,
-    RULE_TABLES,
-    SEPARATING_PAIRS,
-)
-from dnacipher.dna import DECODE, Base, class_index, rule_class
+from dnacipher.cipher import ENCRYPT_TABLES
+from dnacipher.dna import DECODE, Base, rule_class
 from dnacipher.synth import constant_image, natural_image, uniform_random_image
 
 import oracles
@@ -166,17 +160,17 @@ def _pair_bits(table, p):
 
 def test_equal_pair_table_matches_pattern():
     for p in range(64):
-        rg, rb, gb = _pair_bits(EQUAL_PAIRS, p)
+        rg, rb, gb = _pair_bits(oracles.EQUAL_PAIRS, p)
         assert (rg, gb, rb) == _pattern(_unpacked_chars(p))
 
 
 def test_separating_pair_table_matches_oracle():
     for p in range(64):
         t = _unpacked_chars(p)
-        assert _pair_bits(SEPARATING_PAIRS, p) == tuple(
+        assert _pair_bits(oracles.SEPARATING_PAIRS, p) == tuple(
             t[i] != t[j] and t[j] != oracles.COMP[t[i]] for i, j in _PAIR_ORDER
         )
-    undetermined = {_unpacked_chars(p) for p in range(64) if SEPARATING_PAIRS[p] == 0}
+    undetermined = {_unpacked_chars(p) for p in range(64) if oracles.SEPARATING_PAIRS[p] == 0}
     assert undetermined == oracles.UNDETERMINED_TRIPLES
 
 
@@ -544,9 +538,9 @@ def _late_witness_pair(k1, k2, w2, w3, width=64, height=64):
     m = int(DECODE[k1 - 1, Base.C])
     cands = np.array(k1_candidates(m)) - 1
     p = np.arange(64)
-    patterns = EQUAL_PAIRS[ADDITION_TABLES[cands][:, p]]
+    patterns = oracles.EQUAL_PAIRS[oracles.ADDITION_TABLES[cands][:, p]]
     stage2 = patterns[0] != patterns[1]
-    stage3 = SEPARATING_PAIRS[ADDITION_TABLES[k1 - 1, p]] != 0
+    stage3 = oracles.SEPARATING_PAIRS[oracles.ADDITION_TABLES[k1 - 1, p]] != 0
     packed = np.full(4 * width * height, 21 * m, dtype=np.uint8)
     packed[w2] = np.flatnonzero(stage2 & ~stage3)[0]
     packed[w3] = np.flatnonzero(stage3 & (stage2 if w2 == w3 else ~stage2))[0]
@@ -574,7 +568,8 @@ def test_witnesses_at_chunk_edges(w2, w3, monkeypatch):
     # the low bit of one cipher digit of the stage-3 witness's first
     # separating pair flipped: no class fits that XOR any more (when w2 == w3
     # stage 2 may fail first), at the same position as in the full scan
-    separating = SEPARATING_PAIRS[ADDITION_TABLES[k1 - 1, image_to_digits(plain).packed[w3]]]
+    post = oracles.ADDITION_TABLES[k1 - 1, image_to_digits(plain).packed[w3]]
+    separating = oracles.SEPARATING_PAIRS[post]
     channel = next(i for k, (i, _) in enumerate(_PAIR_ORDER) if separating >> k & 1)
     pixels = cipher.pixels.copy()
     pixels[w3 // 4, channel] ^= 1 << 2 * (3 - w3 % 4)
@@ -614,7 +609,8 @@ def test_witnesses_depend_only_on_plaintext_and_k1():
             s3 = stage(recover_k2_class, pd, cd, k1)
             assert s3 in ((rule_class(h), 0), FailureStage.NO_STEP3_WITNESS)
             outcomes.add((s1, s2, s3 == FailureStage.NO_STEP3_WITNESS))
-            assert int(RULE_TABLES[k1 - 1, class_index(rule_class(h)), p, c]) == h
+            ci = oracles.class_index(rule_class(h))
+            assert int(oracles.RULE_TABLES[k1 - 1, ci, p, c]) == h
         assert len(outcomes) == 1, (k1, p, outcomes)
         ((s1, s2, no_s3),) = outcomes
         hits += (s1 != FailureStage.NO_STEP1_WITNESS, s2 != FailureStage.NO_STEP2_WITNESS, not no_s3)
@@ -622,6 +618,18 @@ def test_witnesses_depend_only_on_plaintext_and_k1():
     # distinguish the candidates, and the 48 whose post-addition bases are
     # not among the 16 undetermined triples (steps 1-2 permute the triples)
     assert hits.tolist() == [8 * 16, 8 * 24, 8 * 48]
+
+
+def test_attack_tables_match_base_domain_derivation():
+    # every entry of the stage 1-3 tables and of all 16 stage-4 tables, all
+    # derived from ENCRYPT_TABLES, equals the oracle's derivation from its
+    # own post-addition triples, pair bits and per-class rule tables
+    for got, want in zip(attack._stage_tables(), oracles.stage_tables(), strict=True):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    for k1, cls in itertools.product(range(1, 9), RuleClass):
+        want = oracles.RULE_TABLES[k1 - 1, oracles.class_index(cls)].ravel()
+        assert np.array_equal(attack._rule_table(k1, cls), want)
 
 
 def test_rule_stream_must_hold_integers():
@@ -681,6 +689,7 @@ def test_import_builds_no_stage_tables():
         "import dnacipher.cli\n"
         "from dnacipher import attack\n"
         "assert attack._stage_tables.cache_info().currsize == 0\n"
+        "assert attack._rule_table.cache_info().currsize == 0\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -21,10 +21,8 @@ from dnacipher import (
     image_to_digits,
 )
 from dnacipher.cipher import (
-    ADDITION_TABLES,
     DECRYPT_TABLES,
     ENCRYPT_TABLES,
-    RULE_TABLES,
     TRIPLE_DIGITS,
     apply_rules,
     channel_masks,
@@ -34,7 +32,7 @@ from dnacipher.cipher import (
     pack_triples,
     unpack_triples,
 )
-from dnacipher.dna import DIGITS, class_index, rule_class
+from dnacipher.dna import DIGITS, rule_class
 from dnacipher.keystream import keystreams, random_key
 
 import oracles
@@ -115,6 +113,7 @@ def test_digit_image_rejects_bad_packed_triples():
         np.array([255, 0, 0, 0], dtype=np.uint8),
         np.zeros(3, dtype=np.uint8),
         np.zeros(4, dtype=np.int64),
+        [0, 0, 0, 0],
     ):
         with pytest.raises(ValueError):
             DigitImage(1, 1, packed)
@@ -393,12 +392,17 @@ def test_rule_tables_are_mutually_inverse_permutations():
 
 
 def test_addition_tables_match_scalar_oracle():
-    # every k1 and packed plaintext triple: the packed post-addition bases
+    # every k1 and packed plaintext triple: the oracle's packed post-addition
+    # bases are the scalar chain's, and every rule h decodes them to the
+    # package's ENCRYPT_TABLES entry
     for k1, p in itertools.product(range(1, 9), range(64)):
-        encoded = (oracles.encode(k1, d) for d in (p >> 4, (p >> 2) & 3, p & 3))
-        n = int(ADDITION_TABLES[k1 - 1, p])
-        got = tuple("ACGT"[c] for c in (n >> 4, (n >> 2) & 3, n & 3))
-        assert got == oracles.addition_chain(*encoded)
+        encoded = (oracles.encode(k1, d) for d in oracles.unpack(p))
+        n = oracles.ADDITION_TABLES[k1 - 1, p]
+        post = tuple(oracles.BASES[c] for c in oracles.unpack(n))
+        assert post == oracles.addition_chain(*encoded)
+        for h in range(1, 9):
+            cipher = oracles.pack(*(oracles.decode(h, x) for x in post))
+            assert ENCRYPT_TABLES[k1 - 1, h - 1, p] == cipher
 
 
 def test_packed_triples_roundtrip_and_digit_order():
@@ -416,13 +420,13 @@ def test_rule_tables_invert_scalar_oracle_exhaustive():
     # every (k1, k2, z, t) and plaintext triple: the entry at the oracle's
     # cipher triple is the oracle's composed rule
     for k1, k2, z, t in itertools.product(range(1, 9), range(1, 9), (0, 1), range(4)):
-        table = RULE_TABLES[k1 - 1, class_index(rule_class(k2))]
+        table = oracles.RULE_TABLES[k1 - 1, oracles.class_index(rule_class(k2))]
         for r, g, b in itertools.product(range(4), repeat=3):
             cr, cg, cb = oracles.encrypt_position(r, g, b, k1, k2, z, t)
             got = table[(r << 4) | (g << 2) | b, (cr << 4) | (cg << 2) | cb]
             assert got == oracles.COMPOSED_TABLE[(z, k2, t)]
     # each (k1, class, plain) row holds each rule of the class exactly once
     for ci, rules in enumerate(((1, 3, 6, 8), (2, 4, 5, 7))):
-        rows = RULE_TABLES[:, ci]
+        rows = oracles.RULE_TABLES[:, ci]
         assert np.array_equal((rows != 0).sum(axis=-1), np.full((8, 64), 4))
         assert np.array_equal(np.sort(rows, axis=-1)[..., -4:], np.broadcast_to(rules, (8, 64, 4)))

@@ -1,26 +1,26 @@
 """Exhaustive checks of the base/digit tables the cipher reads against
-independent oracles."""
+independent oracles, and of the oracle's own base-domain tables (complement,
+per-class rule tables) against the cipher's."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from dnacipher.cipher import ENCRYPT_TABLES, RULE_TABLES
+from dnacipher.cipher import ENCRYPT_TABLES
 from dnacipher.dna import (
     ADD,
-    COMPLEMENT,
     DECODE,
     ENCODE,
     Base,
     RuleClass,
     check_digit,
     check_rule,
-    class_index,
     rule_class,
 )
 
 import oracles
+from oracles import COMPLEMENT, RULE_TABLES, class_index
 
 ALL_BASES = list(Base)
 ALL_RULES = range(1, 9)

@@ -50,10 +50,11 @@ PUBLIC_API = [
     "z_sequence",
 ]
 
-# Scalar helpers the cipher never ran, and the composed-rule table and stream
-# it no longer reads (its rows are picked by the channel mask t ^ 3z); tests
-# check the tables it reads, and tests/oracles.py keeps the independent
-# scalar versions and COMPOSED_TABLE.
+# Scalar helpers the cipher never ran, the composed-rule table and stream it
+# no longer reads (its rows are picked by the channel mask t ^ 3z), and the
+# base-domain tables the attack no longer reads (it derives its tables from
+# ENCRYPT_TABLES); tests check the tables it reads, and tests/oracles.py keeps
+# the independent scalar versions, COMPOSED_TABLE and the base-domain tables.
 REMOVED = [
     "encode_digit",
     "decode_base",
@@ -66,6 +67,14 @@ REMOVED = [
     "composed_rule",
     "COMPOSED",
     "composed_rules",
+    "ADDITION_TABLES",
+    "RULE_TABLES",
+    "PAIRS",
+    "EQUAL_PAIRS",
+    "SEPARATING_PAIRS",
+    "COMPLEMENT",
+    "class_index",
+    "lookup_rules",
 ]
 
 
