@@ -1,36 +1,42 @@
-"""The cipher: one per-position row-select kernel for encryption and
-decryption, on packed digit triples.
+"""The cipher: one key-chosen S-box and a per-pixel mask byte, for
+encryption and decryption alike, on packed digit triples.
 
 Images are held in raster order.  Each channel byte expands to its four
 base-4 digits in dna.DIGITS, so an L-pixel image has 4L digit positions,
 each holding an (r, g, b) digit triple packed as r<<4 | g<<2 | b; only
 `pack_triples` builds them from bytes.  A packed triple is the byte whose
 digits are (0, r, g, b), so TRIPLE_DIGITS, and every table built from it,
-reads its digits from dna.DIGITS too.  Steps (c)-(e) (complement by z_i,
-decode under k2, XOR with t_i) collapse into decoding under k2, then XOR
-with the channel mask m_i = t_i ^ 3z_i in all three channels.  So encryption
-is one lookup per position in the key's 4x64 encrypt_rows: row m_i, column
-the packed plaintext triple; decryption reads decrypt_rows.  `apply_rules`
-runs that lookup, and it and the attack read at most PASS_POSITIONS digit
-positions per pass.
+reads its digits from dna.DIGITS too.
+
+Steps (c)-(e) (complement by z_i, decode under k2, XOR with t_i) collapse
+into decoding under k2, then XOR with the channel mask m_i = t_i ^ 3z_i in
+all three channels.  So a pixel encrypts as the S-box S, which applies
+F = ENCRYPT_TABLES[k1 - 1, k2 - 1] to each of its four digit triples,
+followed by XOR of every channel byte with the pixel's mask byte M, whose
+four digits are the pixel's m_i (keystream.mask_bytes).  `apply_sbox` runs S
+through two 4096-entry tables over the (r, g, b) high and low nibbles
+(`sbox_tables`), in passes of PASS_POSITIONS // 4 pixels; decryption XORs M
+first and then applies the inverse tables.
 
 Steps (a)-(b) (encode under k1, chained addition), followed by decoding
 under a rule h, are derived once, in ENCRYPT_TABLES[k1 - 1, h - 1]; every
 other table of the cipher and the attack is derived from it.  Per position,
 steps (c)-(e) also equal decoding under one rule h_i, so `equivalent_decrypt`
-reads DECRYPT_TABLES' row h_i - 1.  The literal five-step pipeline and the
-base-domain tables live in the test suite.
+reads DECRYPT_TABLES' row h_i - 1 through `apply_rules`, a per-position
+row-select kernel.  The literal five-step pipeline and the base-domain
+tables live in the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dna import ADD, DECODE, DIGITS, ENCODE
-from .keystream import Keystreams, SecretKey, keystreams
+from .dna import ADD, DECODE, DIGIT_SHIFTS, DIGITS, ENCODE
+from .keystream import PASS_POSITIONS, Keystreams, SecretKey, mask_bytes
 
 
 def positive_dimensions(width, height, what: str) -> tuple[int, int]:
@@ -152,13 +158,8 @@ EQUAL_GB = TRIPLE_DIGITS[1] == TRIPLE_DIGITS[2]
 # otherwise only OR-ed and viewed as bytes, so byte order does not matter.
 _SPREAD = DIGITS.view(np.uint32)[:, 0] << np.array([4, 2, 0], dtype=np.uint32)[:, None]
 _join = np.zeros((4, 64, 4), dtype=np.uint8)
-_join[..., :3] = TRIPLE_DIGITS.T << np.array([6, 4, 2, 0], dtype=np.uint8)[:, None, None]
+_join[..., :3] = TRIPLE_DIGITS.T << DIGIT_SHIFTS[:, None, None]
 _JOIN = _join.view(np.uint32)[..., 0]
-
-# Digit positions one pass of any table scan reads: their intp lookup indices
-# fill 1 MiB.  The bound keeps a pass's temporaries in cache and the memory of
-# the kernel and the attack flat at any image size.
-PASS_POSITIONS = (1 << 20) // np.dtype(np.intp).itemsize
 
 
 def images_per_pass(pixel_count: int) -> int:
@@ -184,34 +185,13 @@ def unpack_triples(packed: np.ndarray) -> np.ndarray:
     return words.view(np.uint8).reshape(*words.shape, 4)[..., :3]
 
 
-# Every rule maps complementary bases to digits that sum to 3, so the
-# complement by z_i XORs the decoded digit with 3z_i.  Row m of a key's rows
-# XORs its triples with 21 * m, the channel mask m in all three channels.
-_MASK_TRIPLES = 21 * np.arange(4, dtype=np.uint8)[:, None]
-
-
-def channel_masks(streams: Keystreams) -> np.ndarray:
-    """m_i = t_i ^ 3z_i, the row code of each position in the key's rows."""
-    return streams.t ^ 3 * streams.z
-
-
-def encrypt_rows(key: SecretKey) -> np.ndarray:
-    """(4, 64): row m maps packed plain to cipher triples under mask m."""
-    return ENCRYPT_TABLES[key.k1 - 1, key.k2 - 1] ^ _MASK_TRIPLES
-
-
-def decrypt_rows(key: SecretKey) -> np.ndarray:
-    """(4, 64): row m is the inverse of encrypt_rows(key)[m]."""
-    return DECRYPT_TABLES[key.k1 - 1, key.k2 - 1][np.arange(64, dtype=np.uint8) ^ _MASK_TRIPLES]
-
-
 def apply_rules(table: np.ndarray, rows: np.ndarray, pixels: np.ndarray) -> np.ndarray:
-    """The cipher kernel: per digit position i, replace the packed (r, g, b)
-    triple p_i by table[rows_i, p_i].
+    """The rule-row kernel: per digit position i, replace the packed
+    (r, g, b) triple p_i by table[rows_i, p_i].
 
-    `table` is a key's encrypt_rows or decrypt_rows, or one k1's rule rows of
-    DECRYPT_TABLES; `pixels` has shape (L, 3) and `rows` 4L row codes.  Runs
-    in pixel chunks of at most one pass.
+    `table` is one k1's rule rows of DECRYPT_TABLES (or ENCRYPT_TABLES);
+    `pixels` has shape (L, 3) and `rows` 4L row codes.  Runs in pixel chunks
+    of at most one pass.
     """
     pixels = np.asarray(pixels, dtype=np.uint8)
     if pixels.ndim != 2 or pixels.shape[1] != 3:
@@ -228,21 +208,91 @@ def apply_rules(table: np.ndarray, rows: np.ndarray, pixels: np.ndarray) -> np.n
     return out
 
 
-def _run_cipher(rows_for, img: RgbImage, key: SecretKey, streams: Keystreams | None) -> RgbImage:
+# A uint32 whose memory bytes are 1, 1, 1, 0: times a mask byte, the byte in
+# each channel's place of an S-box word.
+_MASK_SPREAD = np.array([1, 1, 1, 0], dtype=np.uint8).view(np.uint32)[0]
+
+
+def _nibble_table(f: np.ndarray) -> np.ndarray:
+    """`f` on nibble triples: entry r<<8 | g<<4 | b is a uint32 whose first
+    three memory bytes are the output nibbles, their high digits `f` of the
+    triple of r, g and b's high digits, their low digits `f` of the triple of
+    low digits.  Built as bytes, so byte order does not matter."""
+    # nibbles[c, q]: channel c's nibble in q; its two digits are the last
+    # two of the byte it is
+    nibbles = np.arange(4096) >> np.array([8, 4, 0])[:, None] & 15
+    high = f[pack_planes(*DIGITS[nibbles, 2])]
+    low = f[pack_planes(*DIGITS[nibbles, 3])]
+    words = np.zeros((4096, 4), dtype=np.uint8)
+    words[:, :3] = (TRIPLE_DIGITS[:, high] << 2 | TRIPLE_DIGITS[:, low]).T
+    return words.view(np.uint32)[:, 0]
+
+
+@functools.cache
+def sbox_tables(k1: int, k2: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The S-box of key rules (k1, k2) and its inverse, each as (high, low)
+    tables: entry r<<8 | g<<4 | b of `high` holds the output's high nibbles
+    for input high nibbles r, g, b, each in its channel's memory byte, and
+    `low` the low nibbles for input low nibbles.  Their OR is a pixel's
+    output bytes.  A nibble shifted by 4 bits stays inside its byte.  The
+    tables are cached and shared by every caller, so they are read-only."""
+    tables = []
+    for f in (ENCRYPT_TABLES[k1 - 1, k2 - 1], DECRYPT_TABLES[k1 - 1, k2 - 1]):
+        low = _nibble_table(f)
+        tables.append((low << 4, low))
+        for table in tables[-1]:
+            table.flags.writeable = False
+    return tuple(tables)
+
+
+def _nibble_index(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    index = r.astype(np.uint16) << 8
+    index |= g << 4
+    index |= b
+    return index
+
+
+def apply_sbox(tables: tuple[np.ndarray, np.ndarray], pixels: np.ndarray,
+               masks: np.ndarray, *, inverse: bool = False) -> np.ndarray:
+    """The cipher kernel: each pixel's bytes through the S-box `tables`, then
+    XOR with its mask byte in every channel; with `inverse`, the XOR comes
+    first.  `pixels` has shape (L, 3) and `masks` L entries.  Runs in pixel
+    passes of PASS_POSITIONS // 4."""
+    high, low = tables
+    out = np.empty_like(pixels)
+    step = max(1, PASS_POSITIONS // 4)
+    for s in range(0, len(pixels), step):
+        r, g, b = pixels[s:s + step].T
+        m = masks[s:s + step]
+        if inverse:
+            r, g, b = r ^ m, g ^ m, b ^ m
+        words = high.take(_nibble_index(r >> 4, g >> 4, b >> 4))
+        words |= low.take(_nibble_index(r & 15, g & 15, b & 15))
+        if not inverse:
+            words ^= m * _MASK_SPREAD
+        out[s:s + step] = words.view(np.uint8).reshape(-1, 4)[:, :3]
+    return out
+
+
+def _run_cipher(img: RgbImage, key: SecretKey, streams: Keystreams | None,
+                inverse: bool) -> RgbImage:
     if streams is None:
-        streams = keystreams(key, img.pixel_count)
+        masks = mask_bytes(key, img.pixel_count)
     elif streams.pixel_count != img.pixel_count:
         raise ValueError("injected keystreams do not match the image size")
-    pixels = apply_rules(rows_for(key), channel_masks(streams), img.pixels)
+    else:
+        masks = streams.mask_bytes()
+    tables = sbox_tables(key.k1, key.k2)[inverse]
+    pixels = apply_sbox(tables, img.pixels, masks, inverse=inverse)
     return RgbImage(img.width, img.height, pixels)
 
 
 def encrypt(img: RgbImage, key: SecretKey, streams: Keystreams | None = None) -> RgbImage:
-    """Encrypt with the row-select kernel.  `streams` bypasses the logistic
-    map (test hook / keystream reuse); rows still come from `key`."""
-    return _run_cipher(encrypt_rows, img, key, streams)
+    """Encrypt with the S-box kernel.  `streams` bypasses the logistic map
+    (test hook / keystream reuse); the S-box still comes from `key`."""
+    return _run_cipher(img, key, streams, inverse=False)
 
 
 def decrypt(img: RgbImage, key: SecretKey, streams: Keystreams | None = None) -> RgbImage:
     """Exact inverse of encrypt for the same key (and injected streams)."""
-    return _run_cipher(decrypt_rows, img, key, streams)
+    return _run_cipher(img, key, streams, inverse=True)

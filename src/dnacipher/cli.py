@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import secrets
 import sys
 
 import numpy as np
@@ -68,7 +67,8 @@ def _read_bytes(path: str) -> bytes:
 
 def _write_atomic(path: str, data: bytes, mode: int = 0o666) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".tmp-dnacipher-{secrets.token_hex(8)}")
+    # os.urandom rather than secrets, which would import hashlib on every command
+    tmp = os.path.join(directory, f".tmp-dnacipher-{os.urandom(8).hex()}")
     try:  # like open(): the file gets `mode` less the umask
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), mode)
     except OSError as err:

@@ -50,10 +50,12 @@ def _code(ch: str) -> int:
     return Base[ch].value
 
 
-# DIGITS[byte] -> the byte's four base-4 digits, most significant first.  The
-# one place the digit order of a byte is written; every byte<->digit table
-# the cipher and the keystream read is built from it.
-DIGITS = np.arange(256, dtype=np.uint8)[:, None] >> np.array([6, 4, 2, 0], dtype=np.uint8) & 3
+# DIGITS[byte] -> the byte's four base-4 digits, most significant first, digit
+# j at bit DIGIT_SHIFTS[j].  The one place the digit order of a byte is
+# written; every byte<->digit table the cipher and the keystream read is
+# built from it.
+DIGIT_SHIFTS = np.array([6, 4, 2, 0], dtype=np.uint8)
+DIGITS = np.arange(256, dtype=np.uint8)[:, None] >> DIGIT_SHIFTS & 3
 
 # ENCODE[rule-1, digit] -> base code; DECODE[rule-1, base code] -> digit.
 ENCODE = np.array(

@@ -1,5 +1,6 @@
 """Logistic-map keystreams: the complement-selector bits z_i and the mask
-digits t_i, plus secret keys and their six-line text format.
+digits t_i, the per-pixel mask bytes the cipher reads, plus secret keys and
+their six-line text format.
 
 All chaotic iteration is IEEE-754 binary64 with the fixed association
 (mu * x) * (1 - x), so ciphertexts are bit-reproducible across platforms.
@@ -10,8 +11,15 @@ the Python loop.  Where that is not possible (no gcc, an unwritable cache,
 a failed load or self-check, a machine other than x86-64 or aarch64) the
 same orbit is evaluated on Python floats, in a generator unrolled four steps
 per pass that np.fromiter drains; `orbit_backend()` says which path runs.
-Either way the arguments are checked before the loop, and the check that
-the orbit stays inside (0, 1) runs on the finished orbit.
+
+Every orbit is computed in passes of at most PASS_POSITIONS iterates, each
+pass starting from the last iterate of the one before; iteration is its own
+continuation, so the bits are those of one long run.  The arguments are
+checked before the first pass, and each pass is checked to stay inside
+(0, 1) before the next one runs.  `mask_bytes` turns the two orbits of a key
+straight into one byte per pixel, M = T ^ Z: T is floor(x * 1e5) mod 256 of
+the t-orbit, and Z holds the digit 3 wherever the pixel's z bit is 1.  Neither
+the 4L-value orbit nor the 4L digit streams of `keystreams` is built for it.
 """
 
 from __future__ import annotations
@@ -30,10 +38,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dna import DIGITS, check_rule
+from .dna import DIGIT_SHIFTS, DIGITS, check_rule
 
 MU_MIN = 3.569945
 MU_MAX = 4.0
+
+# Digit positions one pass reads: their intp lookup indices, or their z-orbit
+# float64 iterates, fill 1 MiB.  Every orbit, keystream and table scan runs in
+# passes of at most this size, which keeps a pass's temporaries in cache and
+# the memory of the keystream, the kernel and the attack flat at any image
+# size.
+PASS_POSITIONS = (1 << 20) // np.dtype(np.intp).itemsize
 
 
 class KeystreamDegenerationError(ArithmeticError):
@@ -98,6 +113,16 @@ class Keystreams:
     @property
     def pixel_count(self) -> int:
         return self.z.size // 4
+
+    def mask_bytes(self) -> np.ndarray:
+        """The L mask bytes of these streams: digit j of byte i is
+        t ^ 3z at position 4i + j."""
+        digits = self.z * np.uint8(3)
+        digits ^= self.t
+        out = np.zeros(self.pixel_count, dtype=np.uint8)
+        for j, shift in enumerate(DIGIT_SHIFTS):
+            out |= digits[j::4] << shift
+        return out
 
 
 def _python_orbit(x0: float, mu: float, n: int) -> np.ndarray:
@@ -230,29 +255,53 @@ def orbit_backend() -> str:
     return _native_kernel()[1]
 
 
+def _orbit_passes(x0: float, mu: float, n: int, size: int):
+    """The first n iterates of x -> (mu*x)*(1-x) from x0, as consecutive
+    (start, iterates) passes of at most `size` iterates each.
+
+    The arguments are checked here, before any pass runs.  A pass starts
+    from the last iterate of the one before, so the passes hold the bits of
+    one long run.  A pass that leaves (0, 1) raises
+    KeystreamDegenerationError, naming the orbit's first step outside and its
+    value, before any later pass runs.
+    """
+    check_logistic_params(x0, mu)
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("orbit length must be non-negative")
+    run = _native_kernel()[0] or _python_orbit
+    mu = float(mu)
+
+    def passes(x):
+        for start in range(0, n, size):
+            part = run(x, mu, min(size, n - start))
+            if not (part.min() > 0.0 and part.max() < 1.0):
+                i = int(np.argmax(~((part > 0.0) & (part < 1.0))))
+                raise KeystreamDegenerationError(
+                    f"orbit escaped (0, 1) at step {start + i + 1}: {float(part[i])!r}"
+                )
+            x = float(part[-1])
+            yield start, part
+
+    return passes(float(x0))
+
+
 def logistic_orbit(x0: float, mu: float, n: int) -> np.ndarray:
     """First n iterates of x -> (mu*x)*(1-x) starting from x0 (x0 itself is
     not emitted, and there is no burn-in discard).
 
     The orbit runs in the compiled kernel when it is available and in the
     Python loop otherwise (see `orbit_backend`); both are binary64 with the
-    same association and give the same bits.  The arguments are checked
-    before either runs.  The whole orbit is computed first and checked
-    afterwards: if it leaves (0, 1), KeystreamDegenerationError names the
-    first step outside.  Float arithmetic raises nothing past an escape (1.0
-    maps to 0.0, a fixed point), so that step and its value are the ones a
-    per-step check sees.
+    same association and give the same bits.  It is computed and checked in
+    the passes of `_orbit_passes`: if it leaves (0, 1),
+    KeystreamDegenerationError names the first step outside.  Float
+    arithmetic raises nothing past an escape (1.0 maps to 0.0, a fixed
+    point), so that step and its value are the ones a per-step check sees.
     """
-    check_logistic_params(x0, mu)
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("orbit length must be non-negative")
-    out = (_native_kernel()[0] or _python_orbit)(float(x0), float(mu), n)
-    if n and not (out.min() > 0.0 and out.max() < 1.0):
-        i = int(np.argmax(~((out > 0.0) & (out < 1.0))))
-        raise KeystreamDegenerationError(
-            f"orbit escaped (0, 1) at step {i + 1}: {float(out[i])!r}"
-        )
+    passes = _orbit_passes(x0, mu, n, PASS_POSITIONS)
+    out = np.empty(operator.index(n), dtype=np.float64)
+    for start, part in passes:
+        out[start:start + part.size] = part
     return out
 
 
@@ -261,11 +310,17 @@ def bits_from_states(states: np.ndarray) -> np.ndarray:
     return (states > 0.5).astype(np.uint8)
 
 
+def _t_bytes(states: np.ndarray) -> np.ndarray:
+    """floor(value * 1e5) mod 256 of each orbit value.  Orbit values lie in
+    (0, 1), so the int32 cast truncates to the floor and the uint8 cast
+    keeps it mod 256, with no float floor or int64 modulo pass."""
+    return (states * 1e5).astype(np.int32).astype(np.uint8)
+
+
 def mask_digits_from_states(states: np.ndarray) -> np.ndarray:
     """Expand each orbit value into four base-4 digits of
     floor(value * 1e5) mod 256, most significant digit first."""
-    values = np.floor(states * 1e5).astype(np.int64) % 256
-    return DIGITS.view(np.uint32)[:, 0].take(values).view(np.uint8)
+    return DIGITS.view(np.uint32)[:, 0].take(_t_bytes(states)).view(np.uint8)
 
 
 def z_sequence(x0: float, mu: float, pixel_count: int) -> np.ndarray:
@@ -287,6 +342,35 @@ def keystreams(key: SecretKey, pixel_count: int) -> Keystreams:
         z=z_sequence(key.x0, key.mu0, pixel_count),
         t=t_sequence(key.x0p, key.mu0p, pixel_count),
     )
+
+
+# _Z_BYTES[b] holds the Z bytes of the two pixels whose eight z bits make up
+# the byte b (four bits each, most significant first): every bit becomes the
+# digit 3 or 0 in its place.
+_z_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).reshape(256, 2, 4)
+_Z_BYTES = (3 * _z_bits << DIGIT_SHIFTS).sum(axis=2, dtype=np.uint8)
+
+
+def mask_bytes(key: SecretKey, pixel_count: int) -> np.ndarray:
+    """The key's L mask bytes M = T ^ Z, equal to `keystreams(key, L)`'s
+    `mask_bytes()`: digit j of byte i is t ^ 3z at position 4i + j.
+
+    Both orbits run in passes of PASS_POSITIONS // 4 pixels (4 z iterates
+    and 1 t iterate each), the z-orbit to its end first, so an escape in
+    either is reported as `keystreams` reports it.
+    """
+    if pixel_count < 1:
+        raise ValueError("pixel count must be positive")
+    step = max(1, PASS_POSITIONS // 4)
+    out = np.empty(pixel_count, dtype=np.uint8)
+    for start, states in _orbit_passes(key.x0, key.mu0, 4 * pixel_count, 4 * step):
+        # packbits pads an odd pixel count's last byte, whose second Z byte
+        # is then cut off.
+        z = _Z_BYTES.take(np.packbits(states > 0.5), axis=0).ravel()
+        out[start // 4:(start + states.size) // 4] = z[:states.size // 4]
+    for start, states in _orbit_passes(key.x0p, key.mu0p, pixel_count, step):
+        out[start:start + states.size] ^= _t_bytes(states)
+    return out
 
 
 def random_key(rng: np.random.Generator) -> SecretKey:

@@ -2,6 +2,7 @@
 for the whole composition, and round-trip/locality properties."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +26,10 @@ from dnacipher.cipher import (
     ENCRYPT_TABLES,
     TRIPLE_DIGITS,
     apply_rules,
-    channel_masks,
-    decrypt_rows,
-    encrypt_rows,
+    apply_sbox,
     pack_planes,
     pack_triples,
+    sbox_tables,
     unpack_triples,
 )
 from dnacipher.dna import DIGITS, rule_class
@@ -324,7 +324,7 @@ def test_injected_stream_length_must_match():
         encrypt(img, key, ks)
 
 
-# --- The rule-table kernel against the step-function pipeline. ---
+# --- The S-box kernel and the rule-row kernel against the step pipeline. ---
 
 
 @pytest.mark.parametrize("images", [1, 3])
@@ -341,22 +341,45 @@ def test_apply_rules_matches_step_pipeline(images, k1, k2, pixel_count, data):
     t = data.draw(hnp.arrays(np.uint8, positions, elements=st.integers(0, 3)))
     key = SecretKey(k1, k2, 0.5, 3.8, 0.5, 3.8)
     ks = Keystreams(z=z, t=t)
-    m = channel_masks(ks)
     h = oracles.composed_stream(z, k2, t)
-    # one image per call; several images share the key's rows and masks
+    # one image per call; several images share the key and the streams
     for _ in range(images):
-        pixels = data.draw(hnp.arrays(np.uint8, (pixel_count, 3)))
-        cipher = oracles.pipeline_encrypt(RgbImage(pixel_count, 1, pixels), key, ks)
-        forward = apply_rules(encrypt_rows(key), m, pixels)
-        assert np.array_equal(forward, cipher.pixels)
-        assert np.array_equal(
-            apply_rules(decrypt_rows(key), m, cipher.pixels),
-            oracles.pipeline_decrypt(cipher, key, ks).pixels,
-        )
-        assert np.array_equal(apply_rules(decrypt_rows(key), m, forward), pixels)
+        img = RgbImage(pixel_count, 1, data.draw(hnp.arrays(np.uint8, (pixel_count, 3))))
+        cipher = oracles.pipeline_encrypt(img, key, ks)
+        forward = encrypt(img, key, ks)
+        assert forward == cipher
+        assert decrypt(cipher, key, ks) == oracles.pipeline_decrypt(cipher, key, ks)
+        assert decrypt(forward, key, ks) == img
         # the composed rules select the same triples from k1's rule rows
-        assert np.array_equal(apply_rules(ENCRYPT_TABLES[k1 - 1], h - 1, pixels), forward)
-        assert np.array_equal(apply_rules(DECRYPT_TABLES[k1 - 1], h - 1, forward), pixels)
+        assert np.array_equal(apply_rules(ENCRYPT_TABLES[k1 - 1], h - 1, img.pixels), forward.pixels)
+        assert np.array_equal(apply_rules(DECRYPT_TABLES[k1 - 1], h - 1, forward.pixels), img.pixels)
+
+
+def test_sbox_tables_apply_the_rule_table_digit_by_digit():
+    # every (k1, k2) and every nibble triple: the high and low tables and
+    # their inverses hold F (or its inverse) applied to the high digits of
+    # the three nibbles and, apart, to their low digits
+    q = np.arange(4096)
+    nibbles = [(q >> 8) & 15, (q >> 4) & 15, q & 15]
+    first = (nibbles[0] >> 2) << 4 | (nibbles[1] >> 2) << 2 | nibbles[2] >> 2
+    second = (nibbles[0] & 3) << 4 | (nibbles[1] & 3) << 2 | nibbles[2] & 3
+    for k1, k2 in itertools.product(range(1, 9), repeat=2):
+        forward, inverse = sbox_tables(k1, k2)
+        for (high, low), f in ((forward, ENCRYPT_TABLES[k1 - 1, k2 - 1]),
+                               (inverse, DECRYPT_TABLES[k1 - 1, k2 - 1])):
+            a, b = f[first], f[second]
+            want = np.stack([(a >> s & 3) << 2 | b >> s & 3 for s in (4, 2, 0)]
+                            + [np.zeros(4096, dtype=np.uint8)], axis=1)
+            assert high.dtype == low.dtype == np.uint32
+            assert not (high.flags.writeable or low.flags.writeable)
+            assert np.array_equal(low.view(np.uint8).reshape(4096, 4), want)
+            assert np.array_equal(high.view(np.uint8).reshape(4096, 4), want << 4)
+        # the inverse tables undo the forward ones
+        for high_or_low in (0, 1):
+            out = forward[high_or_low].view(np.uint8).reshape(4096, 4)[:, :3] >> 4 * (1 - high_or_low)
+            back = inverse[1][out[:, 0].astype(np.intp) << 8 | out[:, 1] << 4 | out[:, 2]]
+            assert np.array_equal(back.view(np.uint8).reshape(4096, 4)[:, :3],
+                                  np.stack(nibbles, axis=1))
 
 
 def test_apply_rules_pass_size_does_not_change_output(monkeypatch):
@@ -365,10 +388,35 @@ def test_apply_rules_pass_size_does_not_change_output(monkeypatch):
     rng = np.random.default_rng(7)
     pixels = rng.integers(0, 256, (37, 3), dtype=np.uint8)
     rows = rng.integers(0, 8, 4 * 37).astype(np.uint8)
+    masks = rng.integers(0, 256, 37, dtype=np.uint8)
+    tables = sbox_tables(2, 7)
     whole = apply_rules(ENCRYPT_TABLES[4], rows, pixels)
+    sbox = [apply_sbox(tables[i], pixels, masks, inverse=bool(i)) for i in (0, 1)]
     for positions in (1, 8, 40, 72):
         monkeypatch.setattr(cipher_module, "PASS_POSITIONS", positions)
         assert np.array_equal(apply_rules(ENCRYPT_TABLES[4], rows, pixels), whole)
+        for i in (0, 1):
+            assert np.array_equal(apply_sbox(tables[i], pixels, masks, inverse=bool(i)), sbox[i])
+
+
+def test_cipher_peak_memory_under_16_mib():
+    from dnacipher.synth import natural_image
+
+    img = natural_image(1024, 1024, seed=11)
+    key = SecretKey(4, 6, 0.61, 3.93, 0.27, 3.71)
+    tracemalloc.start()
+    try:
+        for run in (encrypt, decrypt):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = run(img, key)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            del out
+            # the 3 MiB output, 1 MiB of mask bytes and one pass of
+            # temporaries; a 4L-value orbit alone would be 32 MiB
+            assert peak < 16 << 20, (run.__name__, peak)
+    finally:
+        tracemalloc.stop()
 
 
 def test_apply_rules_rejects_bad_shapes():

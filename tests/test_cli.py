@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommand flows, exit codes, report files."""
 
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -282,6 +283,33 @@ def test_unwritable_output_is_io_error(workdir, capsys):
     assert "cannot write" in capsys.readouterr().err
     # no stray temp files left behind
     assert not [p for p in os.listdir(workdir) if p.startswith(".tmp-")]
+
+
+def test_temp_file_names_need_no_hashlib(workdir, monkeypatch):
+    # a random .tmp-dnacipher-<16 hex> name, from os.urandom: importing the
+    # CLI loads neither secrets nor hashlib
+    renamed = []
+    real_replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda a, b: (renamed.append(a), real_replace(a, b)))
+    assert main(["keygen", "--out", str(workdir / "k.key"), "--seed", "3"]) == 0
+    assert main(["keygen", "--out", str(workdir / "k2.key"), "--seed", "3"]) == 0
+    names = [os.path.basename(a) for a in renamed]
+    assert len(set(names)) == 2
+    assert all(re.fullmatch(r"\.tmp-dnacipher-[0-9a-f]{16}", name) for name in names), names
+    # nor does writing an output (keygen's numpy.random loads secrets itself)
+    write_image(workdir / "p.ppm", natural_image(2, 2, seed=61))
+    src = os.path.dirname(os.path.dirname(dnacipher.__file__))
+    code = (
+        "import sys\n"
+        "from dnacipher.cli import main\n"
+        "assert not {'secrets', 'hashlib'} & set(sys.modules)\n"
+        "assert main(['encrypt', '--key', sys.argv[1], '--in', sys.argv[2], '--out', sys.argv[3]]) == 0\n"
+        "assert not {'secrets', 'hashlib'} & set(sys.modules)\n"
+    )
+    args = [str(workdir / name) for name in ("k.key", "p.ppm", "c.ppm")]
+    done = subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")

@@ -24,6 +24,7 @@ from dnacipher.keystream import (
     format_key_text,
     keystreams,
     logistic_orbit,
+    mask_bytes,
     mask_digits_from_states,
     orbit_backend,
     parse_key_text,
@@ -127,6 +128,61 @@ def test_keystreams_raise_on_escaped_orbit(orbit_path):
     key = SecretKey(1, 1, 0.4999999999417924, ESCAPE_MU, 0.3, 3.7)
     with pytest.raises(KeystreamDegenerationError):
         keystreams(key, 4)
+
+
+@pytest.mark.parametrize("positions", [1, 3, 8])
+def test_orbit_passes_do_not_change_the_orbit(orbit_path, monkeypatch, positions):
+    monkeypatch.setattr(keystream, "PASS_POSITIONS", positions)
+    for n in range(20):
+        assert logistic_orbit(0.501, 3.81, n).tobytes() == orbit_reference(0.501, 3.81, n).tobytes()
+
+
+def _packed_masks(z, t):
+    """t ^ 3z, four digits to a byte, most significant first."""
+    m = (t ^ 3 * z).astype(np.int64)
+    return (m[0::4] * 64 + m[1::4] * 16 + m[2::4] * 4 + m[3::4]).astype(np.uint8)
+
+
+# None keeps the real pass bound.
+@pytest.mark.parametrize("positions", [4, 12, 40, None])
+def test_mask_bytes_match_digit_streams(orbit_path, true_key, monkeypatch, positions):
+    if positions is not None:
+        monkeypatch.setattr(keystream, "PASS_POSITIONS", positions)
+    step = max(1, keystream.PASS_POSITIONS // 4)
+    lengths = {1, 2, 3, step - 1, step, step + 1, 2 * step + 1}
+    if positions is not None:
+        lengths |= {2 * step - 1, 2 * step, 5 * step + 3}
+    for L in sorted(lengths - {0}):
+        z = z_sequence(true_key.x0, true_key.mu0, L)
+        t = t_sequence(true_key.x0p, true_key.mu0p, L)
+        got = mask_bytes(true_key, L)
+        assert got.dtype == np.uint8 and got.shape == (L,)
+        assert np.array_equal(got, _packed_masks(z, t)), L
+        assert np.array_equal(Keystreams(z, t).mask_bytes(), got), L
+
+
+@pytest.mark.parametrize("positions", [1, 2, 4])
+@pytest.mark.parametrize("x0", ESCAPE_STARTS)
+def test_escape_in_a_later_pass(orbit_path, monkeypatch, positions, x0):
+    # a pass of 1, 2 or 4 positions: logistic_orbit's passes hold that many
+    # iterates, the mask bytes' z passes 4 and their t passes 1
+    monkeypatch.setattr(keystream, "PASS_POSITIONS", positions)
+    message = f"orbit escaped (0, 1) at step {ESCAPE_STARTS[x0]}: 1.0"
+    with pytest.raises(KeystreamDegenerationError, match=r"^orbit escaped") as want:
+        orbit_reference(x0, ESCAPE_MU, 9)
+    assert str(want.value) == message
+    runs = {
+        "orbit": lambda: logistic_orbit(x0, ESCAPE_MU, 9),
+        "z": lambda: mask_bytes(SecretKey(1, 1, x0, ESCAPE_MU, 0.3, 3.7), 3),
+        "t": lambda: mask_bytes(SecretKey(1, 1, 0.3, 3.7, x0, ESCAPE_MU), 9),
+        # the t-orbit escapes at step 1, but the z-orbit is checked first
+        "both": lambda: mask_bytes(SecretKey(1, 1, x0, ESCAPE_MU, 0.4999999999417924, ESCAPE_MU), 9),
+        "keystreams": lambda: keystreams(SecretKey(1, 1, x0, ESCAPE_MU, 0.4999999999417924, ESCAPE_MU), 9),
+    }
+    for name, run in runs.items():
+        with pytest.raises(KeystreamDegenerationError) as got:
+            run()
+        assert str(got.value) == message, name
 
 
 def _neighbours(v):
@@ -339,6 +395,8 @@ def test_keystreams_validation():
         z_sequence(0.5, 3.8, 0)
     with pytest.raises(ValueError, match="pixel count must be positive"):
         t_sequence(0.5, 3.8, 0)
+    with pytest.raises(ValueError, match="pixel count must be positive"):
+        mask_bytes(SecretKey(1, 1, 0.5, 3.8, 0.5, 3.8), 0)
 
 
 def test_secret_key_validation():

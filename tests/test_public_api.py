@@ -51,10 +51,12 @@ PUBLIC_API = [
 ]
 
 # Scalar helpers the cipher never ran, the composed-rule table and stream it
-# no longer reads (its rows are picked by the channel mask t ^ 3z), and the
+# no longer reads (its rows are picked by the channel mask t ^ 3z), the
 # base-domain tables the attack no longer reads (it derives its tables from
-# ENCRYPT_TABLES); tests check the tables it reads, and tests/oracles.py keeps
-# the independent scalar versions, COMPOSED_TABLE and the base-domain tables.
+# ENCRYPT_TABLES), and the channel-mask rows and row codes that the S-box
+# kernel and the mask bytes replaced; tests check the tables it reads, and
+# tests/oracles.py keeps the independent scalar versions, COMPOSED_TABLE and
+# the base-domain tables.
 REMOVED = [
     "encode_digit",
     "decode_base",
@@ -75,6 +77,9 @@ REMOVED = [
     "COMPLEMENT",
     "class_index",
     "lookup_rules",
+    "encrypt_rows",
+    "decrypt_rows",
+    "channel_masks",
 ]
 
 
