@@ -20,7 +20,7 @@ from .cipher import (
     images_per_pass,
     pack_triples,
 )
-from .keystream import SecretKey, mask_bytes
+from .keystream import SecretKey, keystreams
 
 # The design's advertised diffusion bound: a single plaintext bit flip is
 # claimed to influence at most this many ciphertext bits.  Reported next to
@@ -71,7 +71,7 @@ def measure_avalanche(
     # Every cipher triple is table[p] ^ 21 * m_i, so the channel masks cancel
     # in each diff and only the table is read.  The mask bytes are still
     # made, so that a key whose orbit escapes is refused here as by encrypt.
-    mask_bytes(key, img.pixel_count)
+    keystreams(key, img.pixel_count)
     table = ENCRYPT_TABLES[key.k1 - 1, key.k2 - 1]
     baseline = table.take(pack_triples(img.pixels))
     rng = np.random.default_rng(seed)

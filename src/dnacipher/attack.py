@@ -32,18 +32,18 @@ from enum import Enum
 
 import numpy as np
 
-from .dna import DECODE, Base, RuleClass, check_digit, check_rule
+from .dna import DECODE, Base, RuleClass, check_digit, check_rule, pack_digits, rule_class
 from .cipher import (
-    DECRYPT_TABLES,
     ENCRYPT_TABLES,
     EQUAL_GB,
     PASS_POSITIONS,
     TRIPLE_DIGITS,
     DigitImage,
     RgbImage,
-    apply_rules,
+    apply_sbox,
     pack_triples,
     positive_dimensions,
+    sbox_tables,
 )
 
 
@@ -271,14 +271,33 @@ def recover_equivalent_key(plain: RgbImage, cipher: RgbImage) -> AttackReport:
 
 
 def equivalent_decrypt(cipher: RgbImage, ek: EquivalentKey) -> RgbImage:
-    """Decrypt with a recovered key: the cipher kernel on k1's inverse rule
-    table, row h_i - 1 at each position."""
+    """Decrypt with a recovered key, through the cipher kernel.
+
+    Decoding under a rule h of a class is decoding under the class's first
+    rule c, then XOR with a mask digit in all three channels.  So the rules
+    h_i, all of one class, are the S-box of (k1, c) and the mask bytes that
+    pack their digits.  A key that mixes the two classes is no such key (no
+    rule is a rule of the other class XOR a constant) and raises ValueError.
+    """
     if (cipher.width, cipher.height) != (ek.width, ek.height):
         raise ValueError(
             f"equivalent key is for {ek.width}x{ek.height}, "
             f"image is {cipher.width}x{cipher.height}"
         )
-    plain = apply_rules(DECRYPT_TABLES[ek.k1 - 1], ek.h - 1, cipher.pixels)
+    # digit[h]: the m with rule h's row of ENCRYPT_TABLES equal to the row of
+    # the class's first rule XOR 21 * m, read off plain triple 0; 4, no
+    # digit, for the rules of the other class
+    rules = np.array(rule_class(int(ek.h[0])).rules)
+    rows = ENCRYPT_TABLES[ek.k1 - 1, :, 0]
+    digit = np.full(9, 4, dtype=np.uint8)
+    digit[rules] = (rows[rules - 1] ^ rows[rules[0] - 1]) // 21
+    digits = digit.take(ek.h)
+    if digits.max() > 3:
+        i = int(np.argmax(digits > 3))
+        raise ValueError(f"equivalent key mixes rule classes A and B: rule {ek.h[0]} "
+                         f"at position 0, rule {ek.h[i]} at position {i}")
+    tables = sbox_tables(ek.k1, int(rules[0]))[1]
+    plain = apply_sbox(tables, cipher.pixels, pack_digits(digits), inverse=True)
     return RgbImage(ek.width, ek.height, plain)
 
 

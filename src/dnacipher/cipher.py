@@ -1,5 +1,6 @@
 """The cipher: one key-chosen S-box and a per-pixel mask byte, for
-encryption and decryption alike, on packed digit triples.
+encryption, decryption and equivalent decryption alike, on packed digit
+triples.
 
 Images are held in raster order.  Each channel byte expands to its four
 base-4 digits in dna.DIGITS, so an L-pixel image has 4L digit positions,
@@ -13,18 +14,15 @@ into decoding under k2, then XOR with the channel mask m_i = t_i ^ 3z_i in
 all three channels.  So a pixel encrypts as the S-box S, which applies
 F = ENCRYPT_TABLES[k1 - 1, k2 - 1] to each of its four digit triples,
 followed by XOR of every channel byte with the pixel's mask byte M, whose
-four digits are the pixel's m_i (keystream.mask_bytes).  `apply_sbox` runs S
-through two 4096-entry tables over the (r, g, b) high and low nibbles
+four digits are the pixel's m_i (keystream.Keystreams).  `apply_sbox` runs
+S through two 4096-entry tables over the (r, g, b) high and low nibbles
 (`sbox_tables`), in passes of PASS_POSITIONS // 4 pixels; decryption XORs M
 first and then applies the inverse tables.
 
 Steps (a)-(b) (encode under k1, chained addition), followed by decoding
 under a rule h, are derived once, in ENCRYPT_TABLES[k1 - 1, h - 1]; every
-other table of the cipher and the attack is derived from it.  Per position,
-steps (c)-(e) also equal decoding under one rule h_i, so `equivalent_decrypt`
-reads DECRYPT_TABLES' row h_i - 1 through `apply_rules`, a per-position
-row-select kernel.  The literal five-step pipeline and the base-domain
-tables live in the test suite.
+other table of the cipher and the attack is derived from it.  The literal
+five-step pipeline and the base-domain tables live in the test suite.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dna import ADD, DECODE, DIGIT_SHIFTS, DIGITS, ENCODE
-from .keystream import PASS_POSITIONS, Keystreams, SecretKey, mask_bytes
+from .keystream import PASS_POSITIONS, Keystreams, SecretKey, keystreams
 
 
 def positive_dimensions(width, height, what: str) -> tuple[int, int]:
@@ -185,29 +183,6 @@ def unpack_triples(packed: np.ndarray) -> np.ndarray:
     return words.view(np.uint8).reshape(*words.shape, 4)[..., :3]
 
 
-def apply_rules(table: np.ndarray, rows: np.ndarray, pixels: np.ndarray) -> np.ndarray:
-    """The rule-row kernel: per digit position i, replace the packed
-    (r, g, b) triple p_i by table[rows_i, p_i].
-
-    `table` is one k1's rule rows of DECRYPT_TABLES (or ENCRYPT_TABLES);
-    `pixels` has shape (L, 3) and `rows` 4L row codes.  Runs in pixel chunks
-    of at most one pass.
-    """
-    pixels = np.asarray(pixels, dtype=np.uint8)
-    if pixels.ndim != 2 or pixels.shape[1] != 3:
-        raise ValueError(f"pixels must have shape (L, 3), got {pixels.shape}")
-    n = len(pixels)
-    if rows.shape != (4 * n,):
-        raise ValueError(f"row codes must have length {4 * n}, got {rows.shape}")
-    step = max(1, PASS_POSITIONS // 4)
-    out = np.empty_like(pixels)
-    for s in range(0, n, step):
-        index = pack_triples(pixels[s:s + step]).astype(np.intp)
-        index += rows[4 * s:4 * (s + step)].astype(np.intp) << 6
-        out[s:s + step] = unpack_triples(table.ravel().take(index))
-    return out
-
-
 # A uint32 whose memory bytes are 1, 1, 1, 0: times a mask byte, the byte in
 # each channel's place of an S-box word.
 _MASK_SPREAD = np.array([1, 1, 1, 0], dtype=np.uint8).view(np.uint32)[0]
@@ -277,13 +252,11 @@ def apply_sbox(tables: tuple[np.ndarray, np.ndarray], pixels: np.ndarray,
 def _run_cipher(img: RgbImage, key: SecretKey, streams: Keystreams | None,
                 inverse: bool) -> RgbImage:
     if streams is None:
-        masks = mask_bytes(key, img.pixel_count)
-    elif streams.pixel_count != img.pixel_count:
+        streams = keystreams(key, img.pixel_count)
+    elif streams.masks.size != img.pixel_count:
         raise ValueError("injected keystreams do not match the image size")
-    else:
-        masks = streams.mask_bytes()
     tables = sbox_tables(key.k1, key.k2)[inverse]
-    pixels = apply_sbox(tables, img.pixels, masks, inverse=inverse)
+    pixels = apply_sbox(tables, img.pixels, streams.masks, inverse=inverse)
     return RgbImage(img.width, img.height, pixels)
 
 

@@ -57,6 +57,16 @@ def _code(ch: str) -> int:
 DIGIT_SHIFTS = np.array([6, 4, 2, 0], dtype=np.uint8)
 DIGITS = np.arange(256, dtype=np.uint8)[:, None] >> DIGIT_SHIFTS & 3
 
+
+def pack_digits(digits: np.ndarray) -> np.ndarray:
+    """The inverse of DIGITS: uint8 digits, four per byte, to the bytes
+    whose digit j is entry 4i + j."""
+    out = digits[0::4] << DIGIT_SHIFTS[0]
+    for j in (1, 2, 3):
+        out |= digits[j::4] << DIGIT_SHIFTS[j]
+    return out
+
+
 # ENCODE[rule-1, digit] -> base code; DECODE[rule-1, base code] -> digit.
 ENCODE = np.array(
     [[_code(ch) for ch in rule] for rule in _RULE_STRINGS], dtype=np.uint8

@@ -1,6 +1,6 @@
 """Logistic-map keystreams: the complement-selector bits z_i and the mask
-digits t_i, the per-pixel mask bytes the cipher reads, plus secret keys and
-their six-line text format.
+digits t_i, packed into the per-pixel mask bytes the cipher reads, plus
+secret keys and their six-line text format.
 
 All chaotic iteration is IEEE-754 binary64 with the fixed association
 (mu * x) * (1 - x), so ciphertexts are bit-reproducible across platforms.
@@ -16,10 +16,12 @@ Every orbit is computed in passes of at most PASS_POSITIONS iterates, each
 pass starting from the last iterate of the one before; iteration is its own
 continuation, so the bits are those of one long run.  The arguments are
 checked before the first pass, and each pass is checked to stay inside
-(0, 1) before the next one runs.  `mask_bytes` turns the two orbits of a key
-straight into one byte per pixel, M = T ^ Z: T is floor(x * 1e5) mod 256 of
-the t-orbit, and Z holds the digit 3 wherever the pixel's z bit is 1.  Neither
-the 4L-value orbit nor the 4L digit streams of `keystreams` is built for it.
+(0, 1) before the next one runs.  The mask bytes are the one keystream form:
+`keystreams` turns the two orbits of a key straight into one byte per pixel,
+M = T ^ Z, where T is floor(x * 1e5) mod 256 of the t-orbit and Z holds the
+digit 3 wherever the pixel's z bit is 1, without building the 4L-value orbit
+or the 4L digit streams.  `Keystreams(z, t)` packs injected streams into the
+same bytes; `z_sequence` and `t_sequence` give a key's streams themselves.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dna import DIGIT_SHIFTS, DIGITS, check_rule
+from .dna import DIGIT_SHIFTS, DIGITS, check_rule, pack_digits
 
 MU_MIN = 3.569945
 MU_MAX = 4.0
 
-# Digit positions one pass reads: their intp lookup indices, or their z-orbit
-# float64 iterates, fill 1 MiB.  Every orbit, keystream and table scan runs in
+# Digit positions one pass reads: on 64-bit machines their z-orbit float64
+# iterates fill 1 MiB.  Every orbit, keystream and table scan runs in
 # passes of at most this size, which keeps a pass's temporaries in cache and
 # the memory of the keystream, the kernel and the attack flat at any image
 # size.
@@ -86,17 +88,20 @@ class SecretKey:
         check_logistic_params(self.x0p, self.mu0p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Keystreams:
-    """Per-position complement bits `z` and mask digits `t`, each of length
-    4L for an L-pixel image."""
+    """The L mask bytes of an L-pixel image: digit j of byte i is the channel
+    mask t ^ 3z at digit position 4i + j.
 
-    z: np.ndarray
-    t: np.ndarray
+    `Keystreams(z, t)` packs injected complement bits `z` and mask digits
+    `t`, each of length 4L; `keystreams(key, L)` makes a key's bytes.
+    """
 
-    def __post_init__(self):
-        z = np.asarray(self.z)
-        t = np.asarray(self.t)
+    masks: np.ndarray
+
+    def __init__(self, z, t):
+        z = np.asarray(z)
+        t = np.asarray(t)
         if z.shape != t.shape or z.ndim != 1:
             raise ValueError("z and t must be 1-d sequences of equal length")
         if z.dtype.kind not in "iu" or t.dtype.kind not in "iu":
@@ -107,22 +112,15 @@ class Keystreams:
             0 <= z.min() and z.max() <= 1 and 0 <= t.min() and t.max() <= 3
         ):
             raise ValueError("z entries must be bits and t entries digits")
-        object.__setattr__(self, "z", z.astype(np.uint8))
-        object.__setattr__(self, "t", t.astype(np.uint8))
+        digits = z.astype(np.uint8) * np.uint8(3)
+        digits ^= t.astype(np.uint8)
+        object.__setattr__(self, "masks", pack_digits(digits))
 
-    @property
-    def pixel_count(self) -> int:
-        return self.z.size // 4
-
-    def mask_bytes(self) -> np.ndarray:
-        """The L mask bytes of these streams: digit j of byte i is
-        t ^ 3z at position 4i + j."""
-        digits = self.z * np.uint8(3)
-        digits ^= self.t
-        out = np.zeros(self.pixel_count, dtype=np.uint8)
-        for j, shift in enumerate(DIGIT_SHIFTS):
-            out |= digits[j::4] << shift
-        return out
+    @classmethod
+    def _of_masks(cls, masks: np.ndarray) -> Keystreams:
+        streams = cls.__new__(cls)
+        object.__setattr__(streams, "masks", masks)
+        return streams
 
 
 def _python_orbit(x0: float, mu: float, n: int) -> np.ndarray:
@@ -337,13 +335,6 @@ def t_sequence(x0: float, mu: float, pixel_count: int) -> np.ndarray:
     return mask_digits_from_states(logistic_orbit(x0, mu, pixel_count))
 
 
-def keystreams(key: SecretKey, pixel_count: int) -> Keystreams:
-    return Keystreams(
-        z=z_sequence(key.x0, key.mu0, pixel_count),
-        t=t_sequence(key.x0p, key.mu0p, pixel_count),
-    )
-
-
 # _Z_BYTES[b] holds the Z bytes of the two pixels whose eight z bits make up
 # the byte b (four bits each, most significant first): every bit becomes the
 # digit 3 or 0 in its place.
@@ -351,13 +342,13 @@ _z_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).reshape
 _Z_BYTES = (3 * _z_bits << DIGIT_SHIFTS).sum(axis=2, dtype=np.uint8)
 
 
-def mask_bytes(key: SecretKey, pixel_count: int) -> np.ndarray:
-    """The key's L mask bytes M = T ^ Z, equal to `keystreams(key, L)`'s
-    `mask_bytes()`: digit j of byte i is t ^ 3z at position 4i + j.
+def keystreams(key: SecretKey, pixel_count: int) -> Keystreams:
+    """The key's L mask bytes M = T ^ Z, equal to those of
+    `Keystreams(z_sequence(...), t_sequence(...))`.
 
     Both orbits run in passes of PASS_POSITIONS // 4 pixels (4 z iterates
     and 1 t iterate each), the z-orbit to its end first, so an escape in
-    either is reported as `keystreams` reports it.
+    the z-orbit is reported before the t-orbit runs.
     """
     if pixel_count < 1:
         raise ValueError("pixel count must be positive")
@@ -370,7 +361,7 @@ def mask_bytes(key: SecretKey, pixel_count: int) -> np.ndarray:
         out[start // 4:(start + states.size) // 4] = z[:states.size // 4]
     for start, states in _orbit_passes(key.x0p, key.mu0p, pixel_count, step):
         out[start:start + states.size] ^= _t_bytes(states)
-    return out
+    return Keystreams._of_masks(out)
 
 
 def random_key(rng: np.random.Generator) -> SecretKey:

@@ -418,15 +418,23 @@ def mask_step(d: DigitPlanes, t: np.ndarray) -> DigitPlanes:
     return DigitPlanes(d.width, d.height, d.r ^ t, d.g ^ t, d.b ^ t)
 
 
-def pipeline_encrypt(img, key, streams):
+def key_streams(key, pixel_count: int):
+    """The key's complement bits z and mask digits t, 4L of each."""
+    from dnacipher.keystream import t_sequence, z_sequence
+
+    return (z_sequence(key.x0, key.mu0, pixel_count),
+            t_sequence(key.x0p, key.mu0p, pixel_count))
+
+
+def pipeline_encrypt(img, key, z, t):
     n = addition_step(encode_image(split_planes(img), key.k1))
-    masked = mask_step(decode_image(complement_step(n, streams.z), key.k2), streams.t)
+    masked = mask_step(decode_image(complement_step(n, z), key.k2), t)
     return join_planes(masked)
 
 
-def pipeline_decrypt(img, key, streams):
-    n = encode_image(mask_step(split_planes(img), streams.t), key.k2)
-    plain = decode_image(inverse_addition_step(complement_step(n, streams.z)), key.k1)
+def pipeline_decrypt(img, key, z, t):
+    n = encode_image(mask_step(split_planes(img), t), key.k2)
+    plain = decode_image(inverse_addition_step(complement_step(n, z)), key.k1)
     return join_planes(plain)
 
 
@@ -434,13 +442,12 @@ def avalanche_reference(img, key, trials: int, seed: int = 0):
     """The per-trial avalanche loop: one flip, one full re-encryption through
     the step pipeline and one digit-plane diff per trial."""
     from dnacipher.analysis import AvalancheReport
-    from dnacipher.keystream import keystreams
 
     def planes(image):
-        d = split_planes(pipeline_encrypt(image, key, streams))
+        d = split_planes(pipeline_encrypt(image, key, z, t))
         return np.stack([d.r, d.g, d.b])
 
-    streams = keystreams(key, img.pixel_count)
+    z, t = key_streams(key, img.pixel_count)
     baseline = planes(img)
     rng = np.random.default_rng(seed)
     violations = max_digits = max_bits = 0

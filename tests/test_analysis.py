@@ -15,7 +15,7 @@ from dnacipher import (
     measure_wrong_key_leak,
 )
 from dnacipher.cipher import images_per_pass
-from dnacipher.keystream import keystreams, random_key
+from dnacipher.keystream import random_key
 from dnacipher.synth import natural_image, uniform_random_image
 
 import oracles
@@ -162,7 +162,7 @@ def test_wrong_key_leak_matches_reference_decryption():
             img.pixels[:, 1] = 77
         cipher = encrypt(img, true_k)
         report = measure_wrong_key_leak(cipher, img, wrong_k)
-        wrong = oracles.pipeline_decrypt(cipher, wrong_k, keystreams(wrong_k, img.pixel_count))
+        wrong = oracles.pipeline_decrypt(cipher, wrong_k, *oracles.key_streams(wrong_k, img.pixel_count))
         expected = [
             np.corrcoef(wrong.pixels[:, c], img.pixels[:, c])[0, 1]
             if np.ptp(img.pixels[:, c]) and np.ptp(wrong.pixels[:, c]) else 0.0

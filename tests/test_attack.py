@@ -34,7 +34,7 @@ from dnacipher import (
     recover_k2_class,
     recover_map_c,
 )
-from dnacipher.keystream import keystreams, random_key
+from dnacipher.keystream import random_key
 from dnacipher.cipher import ENCRYPT_TABLES
 from dnacipher.dna import DECODE, Base, rule_class
 from dnacipher.synth import constant_image, natural_image, uniform_random_image
@@ -286,10 +286,8 @@ def test_recover_equivalent_key_success(true_key, natural_64, natural_64_second)
     assert report.k1_candidates == (1, 7)
     assert report.k2_class == RuleClass.B
     # the recovered rules are the composed rules of the true keystreams
-    ks = keystreams(true_key, natural_64.pixel_count)
-    assert np.array_equal(
-        report.recovered.h, oracles.composed_stream(ks.z, true_key.k2, ks.t)
-    )
+    z, t = oracles.key_streams(true_key, natural_64.pixel_count)
+    assert np.array_equal(report.recovered.h, oracles.composed_stream(z, true_key.k2, t))
     # decrypts the known pair and a fresh ciphertext under the same key
     assert equivalent_decrypt(cipher, report.recovered) == natural_64
     second_cipher = encrypt(natural_64_second, true_key)
@@ -316,8 +314,8 @@ def test_recovered_key_matches_true_decryption_broadly():
         cipher = encrypt(plain, key)
         report = recover_equivalent_key(plain, cipher)
         assert report.failure_stage is None, (key, report.failure_stage)
-        ks = keystreams(key, plain.pixel_count)
-        assert np.array_equal(report.recovered.h, oracles.composed_stream(ks.z, key.k2, ks.t))
+        z, t = oracles.key_streams(key, plain.pixel_count)
+        assert np.array_equal(report.recovered.h, oracles.composed_stream(z, key.k2, t))
         other = natural_image(16, 16, seed=300 + trial)
         other_cipher = encrypt(other, key)
         assert equivalent_decrypt(other_cipher, report.recovered) == decrypt(
@@ -444,6 +442,30 @@ def test_equivalent_decrypt_one_pixel():
         report.recovered.k1, report.recovered.h[:4].copy(), 1, 1
     )
     assert equivalent_decrypt(small_cipher, small_ek) == small_plain
+
+
+def test_class_rules_are_one_row_xor_a_mask_digit():
+    # every k1: within a class, rule h's row of ENCRYPT_TABLES is the first
+    # rule's row XOR 21 * m, the four rules taking the four digits m; no row
+    # of one class is a row of the other class XOR any constant
+    for k1 in range(1, 9):
+        rows = ENCRYPT_TABLES[k1 - 1]
+        for cls in RuleClass:
+            diffs = rows[np.array(cls.rules) - 1] ^ rows[cls.rules[0] - 1]
+            assert np.array_equal(diffs, np.repeat(diffs[:, :1], 64, axis=1))
+            assert sorted(diffs[:, 0]) == [0, 21, 42, 63]
+        for a, b in itertools.product(RuleClass.A.rules, RuleClass.B.rules):
+            assert len(set(rows[a - 1] ^ rows[b - 1])) > 1, (k1, a, b)
+
+
+@pytest.mark.parametrize("h, message", [
+    ([1, 2, 1, 1], "rule 1 at position 0, rule 2 at position 1"),
+    ([4, 4, 4, 8], "rule 4 at position 0, rule 8 at position 3"),
+])
+def test_equivalent_decrypt_rejects_mixed_classes(h, message):
+    cipher = RgbImage(1, 1, np.zeros((1, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match=f"^equivalent key mixes rule classes A and B: {message}$"):
+        equivalent_decrypt(cipher, EquivalentKey(3, h, 1, 1))
 
 
 def test_eqkey_bytes_roundtrip(true_key, natural_64):

@@ -13,19 +13,21 @@ from hypothesis.extra import numpy as hnp
 from dnacipher import (
     Base,
     DigitImage,
+    EquivalentKey,
     Keystreams,
     RgbImage,
+    RuleClass,
     SecretKey,
     decrypt,
     digits_to_image,
     encrypt,
+    equivalent_decrypt,
     image_to_digits,
 )
 from dnacipher.cipher import (
     DECRYPT_TABLES,
     ENCRYPT_TABLES,
     TRIPLE_DIGITS,
-    apply_rules,
     apply_sbox,
     pack_planes,
     pack_triples,
@@ -207,10 +209,10 @@ def test_pipeline_matches_scalar_oracle_real_keys():
     for _ in range(5):
         key = random_key(rng)
         img = RgbImage(6, 5, rng.integers(0, 256, (30, 3), dtype=np.uint8))
-        ks = keystreams(key, 30)
+        z, t = oracles.key_streams(key, 30)
         got = encrypt(img, key)
         want = oracles.encrypt_image(
-            [tuple(px) for px in img.pixels], key.k1, key.k2, ks.z, ks.t
+            [tuple(px) for px in img.pixels], key.k1, key.k2, z, t
         )
         assert [tuple(px) for px in got.pixels] == want
 
@@ -324,7 +326,7 @@ def test_injected_stream_length_must_match():
         encrypt(img, key, ks)
 
 
-# --- The S-box kernel and the rule-row kernel against the step pipeline. ---
+# --- The S-box kernel against the step pipeline. ---
 
 
 @pytest.mark.parametrize("images", [1, 3])
@@ -335,24 +337,70 @@ def test_injected_stream_length_must_match():
     pixel_count=st.integers(1, 12),
     data=st.data(),
 )
-def test_apply_rules_matches_step_pipeline(images, k1, k2, pixel_count, data):
+def test_sbox_matches_step_pipeline(images, k1, k2, pixel_count, data):
     positions = 4 * pixel_count
     z = data.draw(hnp.arrays(np.uint8, positions, elements=st.integers(0, 1)))
     t = data.draw(hnp.arrays(np.uint8, positions, elements=st.integers(0, 3)))
     key = SecretKey(k1, k2, 0.5, 3.8, 0.5, 3.8)
     ks = Keystreams(z=z, t=t)
-    h = oracles.composed_stream(z, k2, t)
     # one image per call; several images share the key and the streams
     for _ in range(images):
         img = RgbImage(pixel_count, 1, data.draw(hnp.arrays(np.uint8, (pixel_count, 3))))
-        cipher = oracles.pipeline_encrypt(img, key, ks)
+        cipher = oracles.pipeline_encrypt(img, key, z, t)
         forward = encrypt(img, key, ks)
         assert forward == cipher
-        assert decrypt(cipher, key, ks) == oracles.pipeline_decrypt(cipher, key, ks)
+        assert decrypt(cipher, key, ks) == oracles.pipeline_decrypt(cipher, key, z, t)
         assert decrypt(forward, key, ks) == img
-        # the composed rules select the same triples from k1's rule rows
-        assert np.array_equal(apply_rules(ENCRYPT_TABLES[k1 - 1], h - 1, img.pixels), forward.pixels)
-        assert np.array_equal(apply_rules(DECRYPT_TABLES[k1 - 1], h - 1, forward.pixels), img.pixels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k1=st.integers(1, 8),
+    cls=st.sampled_from(RuleClass),
+    half=st.integers(0, 8),
+    positions=st.sampled_from([1, 8, 12, 40]),
+    data=st.data(),
+)
+def test_equivalent_decrypt_matches_step_pipeline(k1, cls, half, positions, data):
+    # any one-class rule sequence h, an odd pixel count and passes of 1 to
+    # 10 pixels: decoding under h_i is the step pipeline's decryption under
+    # any k2 of the class and streams whose composed rule at i is h_i
+    import dnacipher.cipher as cipher_module
+
+    pixel_count = 2 * half + 1
+    h = data.draw(hnp.arrays(np.uint8, 4 * pixel_count, elements=st.sampled_from(cls.rules)))
+    k2 = data.draw(st.sampled_from(cls.rules))
+    z = data.draw(hnp.arrays(np.uint8, 4 * pixel_count, elements=st.integers(0, 1)))
+    t = np.array([next(d for d in range(4) if oracles.COMPOSED_TABLE[(int(zi), k2, d)] == hi)
+                  for zi, hi in zip(z, h)], dtype=np.uint8)
+    assert np.array_equal(oracles.composed_stream(z, k2, t), h)
+    cipher = RgbImage(pixel_count, 1, data.draw(hnp.arrays(np.uint8, (pixel_count, 3))))
+    want = oracles.pipeline_decrypt(cipher, SecretKey(k1, k2, 0.5, 3.8, 0.5, 3.8), z, t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cipher_module, "PASS_POSITIONS", positions)
+        assert equivalent_decrypt(cipher, EquivalentKey(k1, h, pixel_count, 1)) == want
+
+
+def test_keystreams_build_no_digit_streams(monkeypatch):
+    # the mask bytes are the one keystream form: the cipher, with or without
+    # injected keystreams(key, L), runs without the 4L-value orbit or the
+    # 4L digit streams
+    from dnacipher import keystream
+
+    rng = np.random.default_rng(9)
+    key = random_key(rng)
+    img = RgbImage(7, 5, rng.integers(0, 256, (35, 3), dtype=np.uint8))
+    want = encrypt(img, key, Keystreams(*oracles.key_streams(key, 35)))
+
+    def refuse(*args):
+        raise AssertionError("the keystream path built an orbit or a digit stream")
+
+    for name in ("logistic_orbit", "z_sequence", "t_sequence"):
+        monkeypatch.setattr(keystream, name, refuse)
+    assert encrypt(img, key) == want
+    assert encrypt(img, key, keystreams(key, 35)) == want
+    assert decrypt(want, key) == img
+    assert decrypt(want, key, keystreams(key, 35)) == img
 
 
 def test_sbox_tables_apply_the_rule_table_digit_by_digit():
@@ -382,19 +430,20 @@ def test_sbox_tables_apply_the_rule_table_digit_by_digit():
                                   np.stack(nibbles, axis=1))
 
 
-def test_apply_rules_pass_size_does_not_change_output(monkeypatch):
+def test_kernel_pass_size_does_not_change_output(monkeypatch):
     import dnacipher.cipher as cipher_module
 
     rng = np.random.default_rng(7)
     pixels = rng.integers(0, 256, (37, 3), dtype=np.uint8)
-    rows = rng.integers(0, 8, 4 * 37).astype(np.uint8)
     masks = rng.integers(0, 256, 37, dtype=np.uint8)
     tables = sbox_tables(2, 7)
-    whole = apply_rules(ENCRYPT_TABLES[4], rows, pixels)
+    cipher = RgbImage(37, 1, pixels)
+    ek = EquivalentKey(5, rng.choice(RuleClass.B.rules, 4 * 37), 37, 1)
+    whole = equivalent_decrypt(cipher, ek)
     sbox = [apply_sbox(tables[i], pixels, masks, inverse=bool(i)) for i in (0, 1)]
     for positions in (1, 8, 40, 72):
         monkeypatch.setattr(cipher_module, "PASS_POSITIONS", positions)
-        assert np.array_equal(apply_rules(ENCRYPT_TABLES[4], rows, pixels), whole)
+        assert equivalent_decrypt(cipher, ek) == whole
         for i in (0, 1):
             assert np.array_equal(apply_sbox(tables[i], pixels, masks, inverse=bool(i)), sbox[i])
 
@@ -417,18 +466,6 @@ def test_cipher_peak_memory_under_16_mib():
             assert peak < 16 << 20, (run.__name__, peak)
     finally:
         tracemalloc.stop()
-
-
-def test_apply_rules_rejects_bad_shapes():
-    pixels = np.zeros((4, 3), dtype=np.uint8)
-    rows = np.zeros(16, dtype=np.uint8)
-    with pytest.raises(ValueError):
-        apply_rules(ENCRYPT_TABLES[0], rows[:15], pixels)
-    with pytest.raises(ValueError):
-        apply_rules(ENCRYPT_TABLES[0], rows, np.zeros((4, 4), np.uint8))
-    # one image at a time: no leading batch axes
-    with pytest.raises(ValueError):
-        apply_rules(ENCRYPT_TABLES[0], rows, pixels[None])
 
 
 def test_rule_tables_are_mutually_inverse_permutations():

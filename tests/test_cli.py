@@ -345,3 +345,18 @@ def test_bad_eqkey_file_is_input_error(workdir, capsys):
                  "--in", str(workdir / "c.ppm"),
                  "--out", str(workdir / "p.ppm")])
     assert code == 1
+
+
+def test_mixed_class_eqkey_is_input_error(workdir, capsys):
+    # rules 1 (class A) and 2 (class B) in one key: no S-box and mask byte
+    # decrypt like it, so eqdecrypt refuses it and writes nothing
+    data = dnacipher.eqkey_to_bytes(dnacipher.EquivalentKey(1, [1, 2, 1, 1], 1, 1))
+    (workdir / "mixed.eqk").write_bytes(data)
+    write_image(workdir / "c.ppm", natural_image(1, 1, seed=61))
+    code = main(["eqdecrypt", "--eqkey", str(workdir / "mixed.eqk"),
+                 "--in", str(workdir / "c.ppm"), "--out", str(workdir / "p.ppm")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == ("dnacipher: equivalent key mixes rule classes A and B: rule 1 at "
+                   "position 0, rule 2 at position 1\n")
+    assert not (workdir / "p.ppm").exists()

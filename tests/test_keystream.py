@@ -24,7 +24,6 @@ from dnacipher.keystream import (
     format_key_text,
     keystreams,
     logistic_orbit,
-    mask_bytes,
     mask_digits_from_states,
     orbit_backend,
     parse_key_text,
@@ -155,17 +154,17 @@ def test_mask_bytes_match_digit_streams(orbit_path, true_key, monkeypatch, posit
     for L in sorted(lengths - {0}):
         z = z_sequence(true_key.x0, true_key.mu0, L)
         t = t_sequence(true_key.x0p, true_key.mu0p, L)
-        got = mask_bytes(true_key, L)
+        got = keystreams(true_key, L).masks
         assert got.dtype == np.uint8 and got.shape == (L,)
         assert np.array_equal(got, _packed_masks(z, t)), L
-        assert np.array_equal(Keystreams(z, t).mask_bytes(), got), L
+        assert np.array_equal(Keystreams(z, t).masks, got), L
 
 
 @pytest.mark.parametrize("positions", [1, 2, 4])
 @pytest.mark.parametrize("x0", ESCAPE_STARTS)
 def test_escape_in_a_later_pass(orbit_path, monkeypatch, positions, x0):
     # a pass of 1, 2 or 4 positions: logistic_orbit's passes hold that many
-    # iterates, the mask bytes' z passes 4 and their t passes 1
+    # iterates, keystreams' z passes 4 and its t passes 1
     monkeypatch.setattr(keystream, "PASS_POSITIONS", positions)
     message = f"orbit escaped (0, 1) at step {ESCAPE_STARTS[x0]}: 1.0"
     with pytest.raises(KeystreamDegenerationError, match=r"^orbit escaped") as want:
@@ -173,11 +172,10 @@ def test_escape_in_a_later_pass(orbit_path, monkeypatch, positions, x0):
     assert str(want.value) == message
     runs = {
         "orbit": lambda: logistic_orbit(x0, ESCAPE_MU, 9),
-        "z": lambda: mask_bytes(SecretKey(1, 1, x0, ESCAPE_MU, 0.3, 3.7), 3),
-        "t": lambda: mask_bytes(SecretKey(1, 1, 0.3, 3.7, x0, ESCAPE_MU), 9),
+        "z": lambda: keystreams(SecretKey(1, 1, x0, ESCAPE_MU, 0.3, 3.7), 3),
+        "t": lambda: keystreams(SecretKey(1, 1, 0.3, 3.7, x0, ESCAPE_MU), 9),
         # the t-orbit escapes at step 1, but the z-orbit is checked first
-        "both": lambda: mask_bytes(SecretKey(1, 1, x0, ESCAPE_MU, 0.4999999999417924, ESCAPE_MU), 9),
-        "keystreams": lambda: keystreams(SecretKey(1, 1, x0, ESCAPE_MU, 0.4999999999417924, ESCAPE_MU), 9),
+        "both": lambda: keystreams(SecretKey(1, 1, x0, ESCAPE_MU, 0.4999999999417924, ESCAPE_MU), 9),
     }
     for name, run in runs.items():
         with pytest.raises(KeystreamDegenerationError) as got:
@@ -381,7 +379,7 @@ def test_stream_lengths_and_sources():
 def test_streams_deterministic(true_key):
     a = keystreams(true_key, 50)
     b = keystreams(true_key, 50)
-    assert np.array_equal(a.z, b.z) and np.array_equal(a.t, b.t)
+    assert np.array_equal(a.masks, b.masks)
 
 
 def test_keystreams_validation():
@@ -396,7 +394,7 @@ def test_keystreams_validation():
     with pytest.raises(ValueError, match="pixel count must be positive"):
         t_sequence(0.5, 3.8, 0)
     with pytest.raises(ValueError, match="pixel count must be positive"):
-        mask_bytes(SecretKey(1, 1, 0.5, 3.8, 0.5, 3.8), 0)
+        keystreams(SecretKey(1, 1, 0.5, 3.8, 0.5, 3.8), 0)
 
 
 def test_secret_key_validation():
@@ -457,4 +455,5 @@ def test_keystreams_must_hold_integers():
     with pytest.raises(ValueError, match="must hold integers"):
         Keystreams(z=np.zeros(4, dtype=np.uint8), t=np.zeros(4, dtype=np.float32))
     ks = Keystreams(z=[1, 0, 0, 1], t=[2, 0, 0, 3])
-    assert ks.z.tolist() == [1, 0, 0, 1] and ks.t.tolist() == [2, 0, 0, 3]
+    # mask digits t ^ 3z: 1, 0, 0, 0
+    assert ks.masks.tolist() == [0b01000000]

@@ -4,7 +4,7 @@ visible diff."""
 import types
 
 import dnacipher
-from dnacipher import analysis, attack, cipher, dna
+from dnacipher import analysis, attack, cipher, dna, keystream
 
 PUBLIC_API = [
     "AttackReport",
@@ -53,10 +53,11 @@ PUBLIC_API = [
 # Scalar helpers the cipher never ran, the composed-rule table and stream it
 # no longer reads (its rows are picked by the channel mask t ^ 3z), the
 # base-domain tables the attack no longer reads (it derives its tables from
-# ENCRYPT_TABLES), and the channel-mask rows and row codes that the S-box
-# kernel and the mask bytes replaced; tests check the tables it reads, and
-# tests/oracles.py keeps the independent scalar versions, COMPOSED_TABLE and
-# the base-domain tables.
+# ENCRYPT_TABLES), the channel-mask rows and row codes that the S-box kernel
+# and the mask bytes replaced, and the rule-row kernel and the second
+# mask-byte path that equivalent decryption and `keystreams` no longer need;
+# tests check the tables it reads, and tests/oracles.py keeps the
+# independent scalar versions, COMPOSED_TABLE and the base-domain tables.
 REMOVED = [
     "encode_digit",
     "decode_base",
@@ -80,6 +81,8 @@ REMOVED = [
     "encrypt_rows",
     "decrypt_rows",
     "channel_masks",
+    "apply_rules",
+    "mask_bytes",
 ]
 
 
@@ -90,5 +93,5 @@ def test_public_api():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_API
-    for module in (dnacipher, dna, attack, cipher, analysis):
+    for module in (dnacipher, dna, attack, cipher, analysis, keystream):
         assert not [name for name in REMOVED if hasattr(module, name)], module
