@@ -3,6 +3,9 @@
 Single-bit plaintext flips never escape the flipped pixel's four-digit block
 (no diffusion), a wrong key still decrypts to visually correlated channels,
 and equal g/b cipher digits leak plaintext structure key-independently.
+The avalanche re-encrypts through the cipher's own S-box kernel
+(`cipher.sbox_words`) and counts changed digits and bits per changed byte
+with two tables read from dna.DIGITS.
 """
 
 from __future__ import annotations
@@ -12,14 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cipher import (
-    ENCRYPT_TABLES,
     EQUAL_GB,
-    TRIPLE_DIGITS,
     RgbImage,
     decrypt,
     images_per_pass,
     pack_triples,
+    sbox_tables,
+    sbox_words,
 )
+from .dna import DIGITS
 from .keystream import SecretKey, keystreams
 
 # The design's advertised diffusion bound: a single plaintext bit flip is
@@ -45,57 +49,51 @@ class KeyLeakReport:
     exact_pixel_matches: int
 
 
-# Per packed-triple XOR: how many of its three digits differ, and how many
-# bits.
-_CHANGED_DIGITS = np.count_nonzero(TRIPLE_DIGITS, axis=0)
-_CHANGED_BITS = np.array([bin(d).count("1") for d in range(64)], dtype=np.int64)
+# Per byte XOR: how many of its four digits differ, and how many bits.
+_CHANGED_DIGITS = np.count_nonzero(DIGITS, axis=1)
+_CHANGED_BITS = np.array([0, 1, 1, 2])[DIGITS].sum(axis=1)
 
 
 def measure_avalanche(
     img: RgbImage, key: SecretKey, trials: int, seed: int = 0
 ) -> AvalancheReport:
     """Flip one random plaintext bit per trial, re-encrypt the whole flipped
-    image, and diff the packed cipher digit triples against the unflipped
-    encryption.
+    image, and diff the cipher digits against the unflipped encryption.
 
     The (pixel, channel, bit) flips are drawn one scalar at a time in trial
-    order.  Flipped images are re-encrypted in full, as many per kernel pass
-    as `images_per_pass` allows, and the report fields are per-trial
-    reductions over the nonzero differences.  Locality violations count
-    trials where any changed digit lies outside the flipped pixel's block;
-    per-channel footprints track the worst digit and bit change counts keyed
-    by the flipped channel.
+    order.  Flipped images are re-encrypted in full through the cipher's
+    S-box kernel, as many per kernel pass as `images_per_pass` allows, and
+    the report fields are per-trial reductions over the changed pixels.
+    Locality violations count trials where any changed digit lies outside
+    the flipped pixel; per-channel footprints track the worst digit and bit
+    change counts keyed by the flipped channel.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    # Every cipher triple is table[p] ^ 21 * m_i, so the channel masks cancel
-    # in each diff and only the table is read.  The mask bytes are still
-    # made, so that a key whose orbit escapes is refused here as by encrypt.
+    # Every cipher pixel is the S-box's word XOR its mask byte in each
+    # channel, so the masks cancel in each diff and only the S-box runs.
+    # The mask bytes are still made, so that a key whose orbit escapes is
+    # refused here as by encrypt.
     keystreams(key, img.pixel_count)
-    table = ENCRYPT_TABLES[key.k1 - 1, key.k2 - 1]
-    baseline = table.take(pack_triples(img.pixels))
+    tables = sbox_tables(key.k1, key.k2)[0]
+    baseline = sbox_words(tables, *img.pixels.T)
     rng = np.random.default_rng(seed)
-    pixel, channel, bit = np.array(
-        [
-            (int(rng.integers(img.pixel_count)), int(rng.integers(3)), int(rng.integers(8)))
-            for _ in range(trials)
-        ]
-    ).T
-    digits = np.zeros(trials, dtype=np.int64)
-    bits = np.zeros(trials, dtype=np.int64)
-    outside = np.zeros(trials, dtype=np.int64)
+    draws = [(rng.integers(img.pixel_count), rng.integers(3), rng.integers(8))
+             for _ in range(trials)]
+    pixel, channel, bit = np.array(draws, dtype=np.int64).T
+    digits, bits, outside = np.zeros((3, trials), dtype=np.int64)
     chunk = images_per_pass(img.pixel_count)
     for s in range(0, trials, chunk):
         n = min(chunk, trials - s)
         batch = np.repeat(img.pixels[None], n, axis=0)
         trial = slice(s, s + n)
         batch[np.arange(n), pixel[trial], channel[trial]] ^= (1 << bit[trial]).astype(np.uint8)
-        delta = table.take(pack_triples(batch)) ^ baseline
-        rows, positions = np.divmod(np.flatnonzero(delta), delta.shape[1])
-        changed = delta[rows, positions]
-        np.add.at(digits, s + rows, _CHANGED_DIGITS[changed])
-        np.add.at(bits, s + rows, _CHANGED_BITS[changed])
-        np.add.at(outside, s + rows, positions // 4 != pixel[s + rows])
+        delta = sbox_words(tables, *np.moveaxis(batch, -1, 0)) ^ baseline
+        rows, pixels = np.divmod(np.flatnonzero(delta), delta.shape[1])
+        changed = delta[rows, pixels].view(np.uint8).reshape(-1, 4)
+        np.add.at(digits, s + rows, _CHANGED_DIGITS[changed].sum(axis=1))
+        np.add.at(bits, s + rows, _CHANGED_BITS[changed].sum(axis=1))
+        np.add.at(outside, s + rows, pixels != pixel[s + rows])
 
     footprint = {
         name: (

@@ -14,10 +14,12 @@ into decoding under k2, then XOR with the channel mask m_i = t_i ^ 3z_i in
 all three channels.  So a pixel encrypts as the S-box S, which applies
 F = ENCRYPT_TABLES[k1 - 1, k2 - 1] to each of its four digit triples,
 followed by XOR of every channel byte with the pixel's mask byte M, whose
-four digits are the pixel's m_i (keystream.Keystreams).  `apply_sbox` runs
-S through two 4096-entry tables over the (r, g, b) high and low nibbles
-(`sbox_tables`), in passes of PASS_POSITIONS // 4 pixels; decryption XORs M
-first and then applies the inverse tables.
+four digits are the pixel's m_i (keystream.Keystreams).  `sbox_words` is
+the one place S meets pixels: it reads two 4096-entry tables over the
+(r, g, b) high and low nibbles (`sbox_tables`) and gives each pixel's output
+bytes as one uint32.  `apply_sbox` calls it in passes of PASS_POSITIONS // 4
+pixels and XORs M after it, or, to decrypt, before the inverse tables; the
+avalanche in analysis calls it on whole batches of flipped images.
 
 Steps (a)-(b) (encode under k1, chained addition), followed by decoding
 under a rule h, are derived once, in ENCRYPT_TABLES[k1 - 1, h - 1]; every
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dna import ADD, DECODE, DIGIT_SHIFTS, DIGITS, ENCODE
+from .dna import ADD, DECODE, DIGITS, ENCODE, pack_digits
 from .keystream import PASS_POSITIONS, Keystreams, SecretKey, keystreams
 
 
@@ -55,7 +57,14 @@ class RgbImage:
 
     def __post_init__(self):
         self.width, self.height = positive_dimensions(self.width, self.height, "image")
-        self.pixels = np.asarray(self.pixels, dtype=np.uint8)
+        pixels = np.asarray(self.pixels)
+        if pixels.dtype != np.uint8:
+            if pixels.dtype.kind not in "iu":
+                raise ValueError(f"pixel values must be integers, not {pixels.dtype}")
+            if pixels.size and not (0 <= pixels.min() and pixels.max() <= 255):
+                raise ValueError("pixel values must lie in 0-255")
+            pixels = pixels.astype(np.uint8)
+        self.pixels = pixels
         if self.pixels.shape != (self.width * self.height, 3):
             raise ValueError(
                 f"pixel buffer shape {self.pixels.shape} does not match "
@@ -112,7 +121,8 @@ def image_to_digits(img: RgbImage) -> DigitImage:
 
 
 def digits_to_image(d: DigitImage) -> RgbImage:
-    return RgbImage(d.width, d.height, unpack_triples(d.packed))
+    planes = [pack_digits(c) for c in (d.r, d.g, d.b)]
+    return RgbImage(d.width, d.height, np.stack(planes, axis=1))
 
 
 # A packed triple is one digit position's (r, g, b) digits as r<<4 | g<<2 | b:
@@ -150,14 +160,10 @@ EQUAL_GB = TRIPLE_DIGITS[1] == TRIPLE_DIGITS[2]
 
 # _SPREAD[c, byte] is a uint32 whose four memory bytes are the byte's digits,
 # most significant first, each shifted to channel c's place in a packed
-# triple; _JOIN[j, packed] is a uint32 whose first three memory bytes are the
-# triple's r, g and b digits shifted to digit j's place in a byte.  A digit
-# shifted by at most 4 bits stays inside its memory byte, and words are
-# otherwise only OR-ed and viewed as bytes, so byte order does not matter.
+# triple.  A digit shifted by at most 4 bits stays inside its memory byte,
+# and words are otherwise only OR-ed and viewed as bytes, so byte order does
+# not matter.
 _SPREAD = DIGITS.view(np.uint32)[:, 0] << np.array([4, 2, 0], dtype=np.uint32)[:, None]
-_join = np.zeros((4, 64, 4), dtype=np.uint8)
-_join[..., :3] = TRIPLE_DIGITS.T << DIGIT_SHIFTS[:, None, None]
-_JOIN = _join.view(np.uint32)[..., 0]
 
 
 def images_per_pass(pixel_count: int) -> int:
@@ -172,15 +178,6 @@ def pack_triples(pixels: np.ndarray) -> np.ndarray:
     words |= _SPREAD[1].take(pixels[..., 1])
     words |= _SPREAD[2].take(pixels[..., 2])
     return words.view(np.uint8)
-
-
-def unpack_triples(packed: np.ndarray) -> np.ndarray:
-    """(..., 4L) packed digit triples -> (..., L, 3) bytes (inverse of
-    pack_triples)."""
-    words = _JOIN[0].take(packed[..., 0::4])
-    for j in (1, 2, 3):
-        words |= _JOIN[j].take(packed[..., j::4])
-    return words.view(np.uint8).reshape(*words.shape, 4)[..., :3]
 
 
 # A uint32 whose memory bytes are 1, 1, 1, 0: times a mask byte, the byte in
@@ -220,11 +217,16 @@ def sbox_tables(k1: int, k2: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(tables)
 
 
-def _nibble_index(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    index = r.astype(np.uint16) << 8
-    index |= g << 4
-    index |= b
-    return index
+def sbox_words(tables: tuple[np.ndarray, np.ndarray], r: np.ndarray,
+               g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The S-box `tables` on same-shape byte planes `r`, `g` and `b`: one
+    uint32 per pixel whose first three memory bytes are its output bytes and
+    whose fourth is 0."""
+    high, low = tables
+    r = r.astype(np.uint16)
+    words = high.take(r << 4 & 0xF00 | g & 0xF0 | b >> 4)
+    words |= low.take((r & 15) << 8 | (g & 15) << 4 | b & 15)
+    return words
 
 
 def apply_sbox(tables: tuple[np.ndarray, np.ndarray], pixels: np.ndarray,
@@ -233,7 +235,6 @@ def apply_sbox(tables: tuple[np.ndarray, np.ndarray], pixels: np.ndarray,
     XOR with its mask byte in every channel; with `inverse`, the XOR comes
     first.  `pixels` has shape (L, 3) and `masks` L entries.  Runs in pixel
     passes of PASS_POSITIONS // 4."""
-    high, low = tables
     out = np.empty_like(pixels)
     step = max(1, PASS_POSITIONS // 4)
     for s in range(0, len(pixels), step):
@@ -241,8 +242,7 @@ def apply_sbox(tables: tuple[np.ndarray, np.ndarray], pixels: np.ndarray,
         m = masks[s:s + step]
         if inverse:
             r, g, b = r ^ m, g ^ m, b ^ m
-        words = high.take(_nibble_index(r >> 4, g >> 4, b >> 4))
-        words |= low.take(_nibble_index(r & 15, g & 15, b & 15))
+        words = sbox_words(tables, r, g, b)
         if not inverse:
             words ^= m * _MASK_SPREAD
         out[s:s + step] = words.view(np.uint8).reshape(-1, 4)[:, :3]

@@ -303,11 +303,6 @@ def logistic_orbit(x0: float, mu: float, n: int) -> np.ndarray:
     return out
 
 
-def bits_from_states(states: np.ndarray) -> np.ndarray:
-    """Threshold orbit values into bits: 0 for values <= 0.5, else 1."""
-    return (states > 0.5).astype(np.uint8)
-
-
 def _t_bytes(states: np.ndarray) -> np.ndarray:
     """floor(value * 1e5) mod 256 of each orbit value.  Orbit values lie in
     (0, 1), so the int32 cast truncates to the floor and the uint8 cast
@@ -315,24 +310,22 @@ def _t_bytes(states: np.ndarray) -> np.ndarray:
     return (states * 1e5).astype(np.int32).astype(np.uint8)
 
 
-def mask_digits_from_states(states: np.ndarray) -> np.ndarray:
-    """Expand each orbit value into four base-4 digits of
-    floor(value * 1e5) mod 256, most significant digit first."""
-    return DIGITS.view(np.uint32)[:, 0].take(_t_bytes(states)).view(np.uint8)
-
-
 def z_sequence(x0: float, mu: float, pixel_count: int) -> np.ndarray:
-    """Complement-selector bits, 4 per pixel, from 4L orbit values."""
+    """Complement-selector bits, 4 per pixel: each of 4L orbit values
+    thresholded, 0 for values <= 0.5, else 1."""
     if pixel_count < 1:
         raise ValueError("pixel count must be positive")
-    return bits_from_states(logistic_orbit(x0, mu, 4 * pixel_count))
+    return (logistic_orbit(x0, mu, 4 * pixel_count) > 0.5).astype(np.uint8)
 
 
 def t_sequence(x0: float, mu: float, pixel_count: int) -> np.ndarray:
-    """Mask digits, 4 per pixel, from L orbit values."""
+    """Mask digits, 4 per pixel: each of L orbit values expanded into the
+    four base-4 digits of floor(value * 1e5) mod 256, most significant
+    first."""
     if pixel_count < 1:
         raise ValueError("pixel count must be positive")
-    return mask_digits_from_states(logistic_orbit(x0, mu, pixel_count))
+    states = logistic_orbit(x0, mu, pixel_count)
+    return DIGITS.view(np.uint32)[:, 0].take(_t_bytes(states)).view(np.uint8)
 
 
 # _Z_BYTES[b] holds the Z bytes of the two pixels whose eight z bits make up

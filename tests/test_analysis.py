@@ -73,7 +73,9 @@ def test_avalanche_batched_matches_per_trial_loop(offset):
     )
 
 
-@pytest.mark.parametrize("width,height,trials", [(64, 64, 1), (1, 1, 1), (1, 1, 40), (7, 3, 25)])
+@pytest.mark.parametrize(
+    "width,height,trials", [(64, 64, 1), (1, 1, 1), (1, 1, 40), (7, 3, 25), (2, 2, 7), (33, 1, 50)]
+)
 def test_avalanche_small_cases_match_per_trial_loop(width, height, trials):
     key = random_key(np.random.default_rng(width * 100 + trials))
     img = uniform_random_image(width, height, seed=trials)
@@ -89,8 +91,10 @@ def test_avalanche_counts_violations_of_a_mixing_kernel(monkeypatch, true_key):
 
     img = natural_image(8, 8, seed=44)
     honest = measure_avalanche(img, true_key, trials=60, seed=1)
-    real = analysis.pack_triples
-    monkeypatch.setattr(analysis, "pack_triples", lambda pixels: np.roll(real(pixels), 4, axis=-1))
+    real = analysis.sbox_words
+    monkeypatch.setattr(
+        analysis, "sbox_words", lambda tables, *planes: np.roll(real(tables, *planes), 1, axis=-1)
+    )
     mixed = measure_avalanche(img, true_key, trials=60, seed=1)
     assert honest.locality_violations == 0
     assert mixed.locality_violations == 60

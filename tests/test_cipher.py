@@ -32,7 +32,6 @@ from dnacipher.cipher import (
     pack_planes,
     pack_triples,
     sbox_tables,
-    unpack_triples,
 )
 from dnacipher.dna import DIGITS, rule_class
 from dnacipher.keystream import keystreams, random_key
@@ -318,6 +317,22 @@ def test_invalid_images_rejected():
         RgbImage(2, 2, np.zeros((3, 3), dtype=np.uint8))
 
 
+def test_image_pixels_must_be_bytes():
+    # integer pixels outside 0-255 used to wrap, and float pixels to
+    # truncate; both are refused, and in-range integers of any width are
+    # stored as the same bytes
+    bad_pixels = ([[300, -1, 2]], [[1.7, 2.2, 3.9]], [[256, 0, 0]], [[0, -1, 0]], [[True, False, True]])
+    for bad in bad_pixels:
+        with pytest.raises(ValueError):
+            RgbImage(1, 1, np.array(bad))
+    for dtype in (np.int64, np.uint16, np.int8):
+        img = RgbImage(1, 1, np.array([[0, 127, 5]], dtype=dtype))
+        assert img.pixels.dtype == np.uint8 and img.pixels.tolist() == [[0, 127, 5]]
+    assert RgbImage(1, 1, [[255, 0, 9]]).pixels.tolist() == [[255, 0, 9]]
+    pixels = np.array([[1, 2, 3]], dtype=np.uint8)
+    assert RgbImage(1, 1, pixels).pixels is pixels
+
+
 def test_injected_stream_length_must_match():
     img = image_from_bytes(1, 1, [1, 2, 3])
     key = SecretKey(1, 1, 0.5, 3.6, 0.5, 3.6)
@@ -495,7 +510,8 @@ def test_packed_triples_roundtrip_and_digit_order():
     pixels = rng.integers(0, 256, (3, 10, 3), dtype=np.uint8)
     packed = pack_triples(pixels)
     assert packed.shape == (3, 40)
-    assert np.array_equal(unpack_triples(packed), pixels)
+    for image, image_packed in zip(pixels, packed):
+        assert digits_to_image(DigitImage(10, 1, image_packed)).pixels.tolist() == image.tolist()
     d = oracles.split_planes(RgbImage(10, 1, pixels[1]))
     assert np.array_equal(packed[1], (d.r << 4) | (d.g << 2) | d.b)
     assert np.array_equal(pack_planes(d.r, d.g, d.b), packed[1])

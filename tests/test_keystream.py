@@ -20,11 +20,9 @@ from dnacipher.keystream import (
     KeystreamDegenerationError,
     Keystreams,
     SecretKey,
-    bits_from_states,
     format_key_text,
     keystreams,
     logistic_orbit,
-    mask_digits_from_states,
     orbit_backend,
     parse_key_text,
     random_key,
@@ -101,12 +99,13 @@ def test_orbit_matches_reference_loop(orbit_path, x0, mu, n):
     assert got.tobytes() == want.tobytes()
 
 
-def test_streams_match_reference_loop(orbit_path, true_key):
+def test_streams_match_reference_loop(orbit_path, true_key, monkeypatch):
     L = 64 * 64
     z = z_sequence(true_key.x0, true_key.mu0, L)
     t = t_sequence(true_key.x0p, true_key.mu0p, L)
-    assert np.array_equal(z, bits_from_states(orbit_reference(true_key.x0, true_key.mu0, 4 * L)))
-    assert np.array_equal(t, mask_digits_from_states(orbit_reference(true_key.x0p, true_key.mu0p, L)))
+    monkeypatch.setattr(keystream, "logistic_orbit", orbit_reference)
+    assert np.array_equal(z, z_sequence(true_key.x0, true_key.mu0, L))
+    assert np.array_equal(t, t_sequence(true_key.x0p, true_key.mu0p, L))
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -345,20 +344,25 @@ def test_parameter_validation(x0, mu):
         logistic_orbit(x0, mu, 1)
 
 
-def test_bit_thresholding():
-    states = np.array([0.3, 0.7, 0.5, 0.5000000000000001])
-    assert bits_from_states(states).tolist() == [0, 1, 0, 1]
+def feed_orbit(monkeypatch, states):
+    """Make the streams read `states` as their orbit, whatever the key."""
+    monkeypatch.setattr(keystream, "logistic_orbit", lambda x0, mu, n: np.array(states)[:n])
 
 
-def test_mask_digit_blocks():
-    got = mask_digits_from_states(np.array([0.123456, 0.999999]))
+def test_bit_thresholding(monkeypatch):
+    feed_orbit(monkeypatch, [0.3, 0.7, 0.5, 0.5000000000000001])
+    assert z_sequence(0.5, 3.8, 1).tolist() == [0, 1, 0, 1]
+
+
+def test_mask_digit_blocks(monkeypatch):
+    feed_orbit(monkeypatch, [0.123456, 0.999999])
     # floor(12345.6) % 256 = 57 -> (0,3,2,1); floor(99999.9) % 256 = 159 -> (2,1,3,3)
-    assert got.tolist() == [0, 3, 2, 1, 2, 1, 3, 3]
+    assert t_sequence(0.5, 3.8, 2).tolist() == [0, 3, 2, 1, 2, 1, 3, 3]
 
 
 def test_mask_digits_reassemble():
     states = logistic_orbit(0.401, 3.68, 64)
-    digits = mask_digits_from_states(states)
+    digits = t_sequence(0.401, 3.68, 64)
     assert digits.max() <= 3
     for i, s in enumerate(states):
         t_byte = int(np.floor(s * 1e5)) % 256
@@ -366,14 +370,21 @@ def test_mask_digits_reassemble():
         assert block[0] * 64 + block[1] * 16 + block[2] * 4 + block[3] == t_byte
 
 
-def test_stream_lengths_and_sources():
+def test_stream_lengths_and_sources(monkeypatch):
     L = 37
+    calls = []
+
+    def recorded(x0, mu, n):
+        calls.append((x0, mu, n))
+        return logistic_orbit(x0, mu, n)
+
+    monkeypatch.setattr(keystream, "logistic_orbit", recorded)
     z = z_sequence(0.501, 3.81, L)
     t = t_sequence(0.401, 3.68, L)
     assert z.shape == t.shape == (4 * L,)
     # z consumes 4L orbit values, t consumes L
-    assert np.array_equal(z, bits_from_states(logistic_orbit(0.501, 3.81, 4 * L)))
-    assert np.array_equal(t, mask_digits_from_states(logistic_orbit(0.401, 3.68, L)))
+    assert calls == [(0.501, 3.81, 4 * L), (0.401, 3.68, L)]
+    assert z.tolist() == [int(x > 0.5) for x in logistic_orbit(0.501, 3.81, 4 * L)]
 
 
 def test_streams_deterministic(true_key):

@@ -54,10 +54,12 @@ PUBLIC_API = [
 # no longer reads (its rows are picked by the channel mask t ^ 3z), the
 # base-domain tables the attack no longer reads (it derives its tables from
 # ENCRYPT_TABLES), the channel-mask rows and row codes that the S-box kernel
-# and the mask bytes replaced, and the rule-row kernel and the second
-# mask-byte path that equivalent decryption and `keystreams` no longer need;
-# tests check the tables it reads, and tests/oracles.py keeps the
-# independent scalar versions, COMPOSED_TABLE and the base-domain tables.
+# and the mask bytes replaced, the rule-row kernel and the second
+# mask-byte path that equivalent decryption and `keystreams` no longer need,
+# the packed-triple joiner that `digits_to_image` no longer needs, and the
+# orbit-value helpers folded into `z_sequence` and `t_sequence`; tests check
+# the tables it reads, and tests/oracles.py keeps the independent scalar
+# versions, COMPOSED_TABLE and the base-domain tables.
 REMOVED = [
     "encode_digit",
     "decode_base",
@@ -83,6 +85,9 @@ REMOVED = [
     "channel_masks",
     "apply_rules",
     "mask_bytes",
+    "unpack_triples",
+    "bits_from_states",
+    "mask_digits_from_states",
 ]
 
 
