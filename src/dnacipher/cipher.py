@@ -17,9 +17,12 @@ followed by XOR of every channel byte with the pixel's mask byte M, whose
 four digits are the pixel's m_i (keystream.Keystreams).  `sbox_words` is
 the one place S meets pixels: it reads two 4096-entry tables over the
 (r, g, b) high and low nibbles (`sbox_tables`) and gives each pixel's output
-bytes as one uint32.  `apply_sbox` calls it in passes of PASS_POSITIONS // 4
-pixels and XORs M after it, or, to decrypt, before the inverse tables; the
-avalanche in analysis calls it on whole batches of flipped images.
+bytes as one uint32.  The lookups run in the C loop of the compiled kernel
+library that keystream loads beside the orbit loop, or, where that library
+is not used, in numpy, which is also the loop's test oracle.  `apply_sbox`
+calls it in passes of PASS_POSITIONS // 4 pixels and XORs M after it, or,
+to decrypt, before the inverse tables; the avalanche in analysis calls it
+on whole batches of flipped images.
 
 Steps (a)-(b) (encode under k1, chained addition), followed by decoding
 under a rule h, are derived once, in ENCRYPT_TABLES[k1 - 1, h - 1]; every
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import keystream
 from .dna import ADD, DECODE, DIGITS, ENCODE, pack_digits
 from .keystream import PASS_POSITIONS, Keystreams, SecretKey, keystreams
 
@@ -217,12 +221,16 @@ def sbox_tables(k1: int, k2: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(tables)
 
 
-def sbox_words(tables: tuple[np.ndarray, np.ndarray], r: np.ndarray,
-               g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The S-box `tables` on same-shape byte planes `r`, `g` and `b`: one
-    uint32 per pixel whose first three memory bytes are its output bytes and
-    whose fourth is 0."""
+def sbox_words(tables: tuple[np.ndarray, np.ndarray], pixels: np.ndarray) -> np.ndarray:
+    """The S-box `tables` on byte `pixels` of shape (..., 3): one uint32 per
+    pixel whose first three memory bytes are its output bytes and whose
+    fourth is 0.  Runs in the compiled kernel library where it loaded
+    (keystream.orbit_backend), else in numpy."""
+    kernel = keystream._native_kernel()[0]
+    if kernel is not None:
+        return kernel.sbox_words(tables, pixels)
     high, low = tables
+    r, g, b = np.moveaxis(pixels, -1, 0)
     r = r.astype(np.uint16)
     words = high.take(r << 4 & 0xF00 | g & 0xF0 | b >> 4)
     words |= low.take((r & 15) << 8 | (g & 15) << 4 | b & 15)
@@ -238,11 +246,13 @@ def apply_sbox(tables: tuple[np.ndarray, np.ndarray], pixels: np.ndarray,
     out = np.empty_like(pixels)
     step = max(1, PASS_POSITIONS // 4)
     for s in range(0, len(pixels), step):
-        r, g, b = pixels[s:s + step].T
+        p = pixels[s:s + step]
         m = masks[s:s + step]
         if inverse:
-            r, g, b = r ^ m, g ^ m, b ^ m
-        words = sbox_words(tables, r, g, b)
+            # m repeated per channel: a flat XOR, over twice as fast as a
+            # broadcast of m[:, None] over the three channels
+            p = p ^ np.repeat(m, 3).reshape(-1, 3)
+        words = sbox_words(tables, p)
         if not inverse:
             words ^= m * _MASK_SPREAD
         out[s:s + step] = words.view(np.uint8).reshape(-1, 4)[:, :3]

@@ -4,13 +4,17 @@ secret keys and their six-line text format.
 
 All chaotic iteration is IEEE-754 binary64 with the fixed association
 (mu * x) * (1 - x), so ciphertexts are bit-reproducible across platforms.
-The orbit runs in a 10-line C loop (`_orbit.c`) that is compiled with gcc
-on first use, cached per user in `$XDG_CACHE_HOME/dnacipher` (or
-`~/.cache/dnacipher`) and loaded through ctypes after a self-check against
-the Python loop.  Where that is not possible (no gcc, an unwritable cache,
-a failed load or self-check, a machine other than x86-64 or aarch64) the
-same orbit is evaluated on Python floats, in a generator unrolled four steps
-per pass that np.fromiter drains; `orbit_backend()` says which path runs.
+The orbit runs in a C loop of the package's kernel library (`_orbit.c`),
+beside the loop of the cipher's S-box words (`cipher.sbox_words`).  The
+library is compiled with gcc on first use, cached per user in
+`$XDG_CACHE_HOME/dnacipher` (or `~/.cache/dnacipher`) and loaded through
+ctypes; it is used only if both loops are present and pass their
+self-checks, the orbit against the Python loop first, then the S-box loop
+on every high and low nibble index.  Where that is not possible (no gcc, an
+unwritable cache, a failed load or self-check, a machine other than x86-64
+or aarch64) the orbit is evaluated on Python floats, in a generator unrolled
+four steps per pass that np.fromiter drains, and the S-box in numpy;
+`orbit_backend()` says which path runs.
 
 Every orbit is computed in passes of at most PASS_POSITIONS iterates, each
 pass starting from the last iterate of the one before; iteration is its own
@@ -36,7 +40,9 @@ import platform
 import shutil
 import tempfile
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,7 +162,16 @@ _CHECK_X0, _CHECK_MU, _CHECK_STEPS = 0.3, 3.9999999, 1024
 
 
 class _NoKernel(Exception):
-    """Why the compiled orbit is not used; the text goes into orbit_backend()."""
+    """Why the compiled kernel library is not used; the text goes into
+    orbit_backend()."""
+
+
+class _Kernel(NamedTuple):
+    """The compiled loops: `orbit(x0, mu, n)` gives a float64 orbit and
+    `sbox_words(tables, pixels)` one uint32 word per (..., 3) pixel."""
+
+    orbit: Callable[[float, float, int], np.ndarray]
+    sbox_words: Callable[[tuple[np.ndarray, np.ndarray], np.ndarray], np.ndarray]
 
 
 def _kernel_file(machine: str) -> str:
@@ -194,10 +209,22 @@ def _build_kernel(path: str) -> None:
             os.unlink(tmp)
 
 
-def _load_kernel():
-    """The compiled orbit as `kernel(x0, mu, n) -> float64 array`, built on
-    a cache miss and checked against the Python orbit.  Raises _NoKernel
-    when it cannot be used."""
+def _symbol(lib, path: str, name: str, *argtypes):
+    """The C function `name` of the library at `path`, typed."""
+    try:
+        fn = getattr(lib, name)
+    except AttributeError:
+        raise _NoKernel(f"{path} has no {name}") from None
+    fn.argtypes = argtypes
+    fn.restype = None
+    return fn
+
+
+def _load_kernel() -> _Kernel:
+    """The compiled kernel library, built on a cache miss.  The orbit loop
+    is looked up and checked against the Python orbit first, then the S-box
+    loop on every nibble index.  Raises _NoKernel when either cannot be
+    used."""
     machine = platform.machine()
     if machine not in _KERNEL_MACHINES:
         raise _NoKernel(f"unsupported machine {machine!r}")
@@ -214,32 +241,58 @@ def _load_kernel():
         lib = ctypes.CDLL(path)
     except OSError as e:
         raise _NoKernel(f"{type(e).__name__}: {e}") from None
-    try:
-        fn = lib.logistic_orbit
-    except AttributeError:
-        raise _NoKernel(f"{path} has no logistic_orbit") from None
-    fn.argtypes = (ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p)
-    fn.restype = None
 
-    def kernel(x0: float, mu: float, n: int) -> np.ndarray:
+    orbit_fn = _symbol(lib, path, "logistic_orbit",
+                       ctypes.c_double, ctypes.c_double, ctypes.c_int64, ctypes.c_void_p)
+
+    def orbit(x0: float, mu: float, n: int) -> np.ndarray:
         out = np.empty(n, dtype=np.float64)
-        fn(x0, mu, out.size, out.ctypes.data)
+        orbit_fn(x0, mu, out.size, out.ctypes.data)
         return out
 
-    got = kernel(_CHECK_X0, _CHECK_MU, _CHECK_STEPS)
+    got = orbit(_CHECK_X0, _CHECK_MU, _CHECK_STEPS)
     want = _python_orbit(_CHECK_X0, _CHECK_MU, _CHECK_STEPS)
     if got.tobytes() != want.tobytes():
         step = int(np.argmax(got.view(np.uint64) != want.view(np.uint64))) + 1
         raise _NoKernel(
             f"self-check failed: the kernel differs from the Python loop at step {step}"
         )
-    return kernel
+
+    sbox_fn = _symbol(lib, path, "sbox_words", *(ctypes.c_void_p,) * 3,
+                      ctypes.c_int64, ctypes.c_void_p)
+
+    def sbox_words(tables, pixels):
+        high, low = (np.ascontiguousarray(t, dtype=np.uint32) for t in tables)
+        pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
+        # the C loop trusts these sizes
+        if high.size != 4096 or low.size != 4096 or pixels.shape[-1:] != (3,):
+            raise ValueError("sbox_words needs two 4096-entry tables and (..., 3) pixels")
+        out = np.empty(pixels.shape[:-1], dtype=np.uint32)
+        sbox_fn(high.ctypes.data, low.ctypes.data, pixels.ctypes.data, out.size,
+                out.ctypes.data)
+        return out
+
+    # Every high nibble index once, and every low one once in another order,
+    # through tables whose words are their index and their index << 12, so
+    # that each word shows both indices the loop read.
+    index = np.arange(4096, dtype=np.uint32)
+    low_index = index * 1667 & 4095
+    shifts = np.array([8, 4, 0], dtype=np.uint32)
+    pixels = ((index[:, None] >> shifts & 15) << 4 | low_index[:, None] >> shifts & 15)
+    got = sbox_words((index, index << 12), pixels.astype(np.uint8))
+    want = index | low_index << 12
+    if not np.array_equal(got, want):
+        i = int(np.argmax(got != want))
+        raise _NoKernel(
+            f"S-box self-check failed: pixel {pixels[i].tolist()} gave word {int(got[i]):#x}"
+        )
+    return _Kernel(orbit, sbox_words)
 
 
 @functools.cache
 def _native_kernel():
-    """(kernel, "native"), or (None, "python: <reason>"); decided once per
-    process, on first use."""
+    """(the _Kernel, "native"), or (None, "python: <reason>"); decided once
+    per process, on first use."""
     try:
         return _load_kernel(), "native"
     except _NoKernel as e:
@@ -247,9 +300,11 @@ def _native_kernel():
 
 
 def orbit_backend() -> str:
-    """Which orbit path runs: "native", or "python: <why the kernel is not
-    used>".  Loads (and on a cache miss builds) the kernel if that has not
-    happened yet in this process."""
+    """Which path the orbit loop and the S-box word loop run on: "native"
+    for both in the compiled kernel library, or "python: <why the library is
+    not used>" for the orbit on Python floats and the S-box in numpy.  Loads
+    (and on a cache miss builds) the library if that has not happened yet in
+    this process."""
     return _native_kernel()[1]
 
 
@@ -267,7 +322,8 @@ def _orbit_passes(x0: float, mu: float, n: int, size: int):
     n = operator.index(n)
     if n < 0:
         raise ValueError("orbit length must be non-negative")
-    run = _native_kernel()[0] or _python_orbit
+    kernel = _native_kernel()[0]
+    run = kernel.orbit if kernel else _python_orbit
     mu = float(mu)
 
     def passes(x):

@@ -14,8 +14,8 @@ WRONG_KEY = SecretKey(2, 5, 0.611, 3.781, 0.301, 3.78)
 
 @pytest.fixture(scope="session", autouse=True)
 def orbit_cache(tmp_path_factory):
-    """Build the compiled orbit kernel into a cache of this test run, not the
-    user's."""
+    """Build the compiled kernel library into a cache of this test run, not
+    the user's."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
         keystream._native_kernel.cache_clear()
@@ -24,13 +24,14 @@ def orbit_cache(tmp_path_factory):
 
 
 def force_python_orbit(monkeypatch):
-    """Send logistic_orbit down the Python loop, the path it takes wherever
-    the compiled kernel cannot be used."""
+    """Send logistic_orbit down the Python loop and sbox_words through numpy,
+    the path the package takes wherever the compiled kernel library cannot
+    be used."""
     monkeypatch.setattr(keystream, "_native_kernel", lambda: (None, "python: forced"))
 
 
 def require_native_orbit():
-    """The compiled kernel must load wherever gcc is on PATH."""
+    """The compiled kernel library must load wherever gcc is on PATH."""
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH: only the Python orbit can run")
     assert keystream.orbit_backend() == "native"
@@ -38,8 +39,9 @@ def require_native_orbit():
 
 @pytest.fixture
 def orbit_path():
-    """The orbit path the test runs on: the compiled kernel here, the Python
-    loop where test_orbit_python_path.py overrides this fixture."""
+    """The kernel path the test runs on: the compiled library here, the
+    Python orbit loop and the numpy S-box where test_orbit_python_path.py
+    overrides this fixture."""
     require_native_orbit()
     return "native"
 

@@ -76,7 +76,7 @@ def test_avalanche_batched_matches_per_trial_loop(offset):
 @pytest.mark.parametrize(
     "width,height,trials", [(64, 64, 1), (1, 1, 1), (1, 1, 40), (7, 3, 25), (2, 2, 7), (33, 1, 50)]
 )
-def test_avalanche_small_cases_match_per_trial_loop(width, height, trials):
+def test_avalanche_small_cases_match_per_trial_loop(orbit_path, width, height, trials):
     key = random_key(np.random.default_rng(width * 100 + trials))
     img = uniform_random_image(width, height, seed=trials)
     assert measure_avalanche(img, key, trials, seed=3) == oracles.avalanche_reference(
@@ -93,7 +93,7 @@ def test_avalanche_counts_violations_of_a_mixing_kernel(monkeypatch, true_key):
     honest = measure_avalanche(img, true_key, trials=60, seed=1)
     real = analysis.sbox_words
     monkeypatch.setattr(
-        analysis, "sbox_words", lambda tables, *planes: np.roll(real(tables, *planes), 1, axis=-1)
+        analysis, "sbox_words", lambda tables, pixels: np.roll(real(tables, pixels), 1, axis=-1)
     )
     mixed = measure_avalanche(img, true_key, trials=60, seed=1)
     assert honest.locality_violations == 0

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -32,11 +32,13 @@ from dnacipher.cipher import (
     pack_planes,
     pack_triples,
     sbox_tables,
+    sbox_words,
 )
 from dnacipher.dna import DIGITS, rule_class
 from dnacipher.keystream import keystreams, random_key
 
 import oracles
+from conftest import force_python_orbit, require_native_orbit
 from oracles import (
     DigitPlanes,
     DnaTriples,
@@ -344,15 +346,18 @@ def test_injected_stream_length_must_match():
 # --- The S-box kernel against the step pipeline. ---
 
 
+# The orbit_path fixture holds for every example, so its function scope is
+# what the test wants.
 @pytest.mark.parametrize("images", [1, 3])
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     k1=st.integers(1, 8),
     k2=st.integers(1, 8),
     pixel_count=st.integers(1, 12),
     data=st.data(),
 )
-def test_sbox_matches_step_pipeline(images, k1, k2, pixel_count, data):
+def test_sbox_matches_step_pipeline(orbit_path, images, k1, k2, pixel_count, data):
     positions = 4 * pixel_count
     z = data.draw(hnp.arrays(np.uint8, positions, elements=st.integers(0, 1)))
     t = data.draw(hnp.arrays(np.uint8, positions, elements=st.integers(0, 3)))
@@ -445,7 +450,34 @@ def test_sbox_tables_apply_the_rule_table_digit_by_digit():
                                   np.stack(nibbles, axis=1))
 
 
-def test_kernel_pass_size_does_not_change_output(monkeypatch):
+def test_sbox_words_paths_agree(monkeypatch):
+    # every high and every low nibble triple, as (L, 3), (n, L, 3) and
+    # non-contiguous views, through the forward and inverse tables of all
+    # 64 (k1, k2): the compiled loop against the numpy body
+    require_native_orbit()
+    rng = np.random.default_rng(20)
+
+    def nibbles(q):
+        return q[:, None] >> np.array([8, 4, 0]) & 15
+
+    pixels = (nibbles(np.arange(4096)) << 4 | nibbles(rng.permutation(4096))).astype(np.uint8)
+    shaped = pixels.reshape(8, 512, 3)
+    views = [pixels, shaped, pixels[::2], shaped[:, ::3]]
+    tables = [t for k in itertools.product(range(1, 9), repeat=2) for t in sbox_tables(*k)]
+    native = [sbox_words(t, p) for t in tables for p in views]
+    # the compiled loop's own size check: the calls above ran it
+    with pytest.raises(ValueError, match="4096-entry tables"):
+        sbox_words(tables[0], pixels[:, :2])
+    force_python_orbit(monkeypatch)
+    for got, want in zip(native, [sbox_words(t, p) for t in tables for p in views]):
+        assert got.dtype == want.dtype == np.uint32
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        sbox_words(tables[0], pixels[:, :2])
+
+
+def test_kernel_pass_size_does_not_change_output(orbit_path, monkeypatch):
     import dnacipher.cipher as cipher_module
 
     rng = np.random.default_rng(7)

@@ -141,9 +141,11 @@ def test_escaping_key_is_bad_input(workdir, capsys, command):
     assert not out.exists()
 
 
-def test_encrypt_is_silent_and_identical_on_both_orbit_paths(workdir):
+@pytest.mark.parametrize("command", ["encrypt", "avalanche"])
+def test_encrypt_is_silent_and_identical_on_both_orbit_paths(workdir, command):
     # Separate interpreters, each with an empty kernel cache: the native run
-    # compiles the kernel, the other finds no gcc and takes the Python loop.
+    # compiles the kernel library, the other finds no gcc and takes the
+    # Python orbit and the numpy S-box.
     write_key(workdir / "k.key", TRUE_KEY)
     write_image(workdir / "p.ppm", natural_image(64, 64, seed=55))
     (workdir / "bin").mkdir()
@@ -153,16 +155,19 @@ def test_encrypt_is_silent_and_identical_on_both_orbit_paths(workdir):
         "python": {"XDG_CACHE_HOME": str(workdir / "cache-python"), "PATH": str(workdir / "bin")},
     }
     for name, env in runs.items():
+        out = ["--out", str(workdir / f"{name}.out")]
+        if command == "avalanche":
+            out = ["--trials", "300", "--report", str(workdir / f"{name}.out")]
         done = subprocess.run(
-            [sys.executable, "-m", "dnacipher", "encrypt", "--key", str(workdir / "k.key"),
-             "--in", str(workdir / "p.ppm"), "--out", str(workdir / f"{name}.ppm")],
+            [sys.executable, "-m", "dnacipher", command, "--key", str(workdir / "k.key"),
+             "--in", str(workdir / "p.ppm"), *out],
             env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
     libs = {name: list((workdir / f"cache-{name}").rglob("*.so")) for name in runs}
     assert len(libs["python"]) == 0
     assert len(libs["native"]) == (shutil.which("gcc") is not None)
-    assert (workdir / "native.ppm").read_bytes() == (workdir / "python.ppm").read_bytes()
+    assert (workdir / "native.out").read_bytes() == (workdir / "python.out").read_bytes()
 
 
 def test_attack_failure_exit_code(workdir, capsys):

@@ -288,12 +288,28 @@ def test_fallback_on_corrupt_cached_library(fresh_cache, capfd):
     assert_python_fallback(capfd, "OSError")
 
 
-@pytest.mark.parametrize("body,reason", [
-    # A different association: the self-check must catch the rounding drift.
-    ("x = mu * (x * (1.0 - x));", "self-check failed"),
-    ("x = (mu * x) * (1.0 - x)", "gcc exited with status 1"),  # a syntax error
+GOOD_STEP = "x = (mu * x) * (1.0 - x);"
+# The S-box loop of _orbit.c with the g and b low nibbles swapped.
+WRONG_SBOX = (
+    "void sbox_words(const uint32_t *high, const uint32_t *low,\n"
+    "                const uint8_t *p, int64_t n, uint32_t *out)\n"
+    "{ for (int64_t i = 0; i < n; i++, p += 3)\n"
+    "    out[i] = high[(p[0] << 4 & 0xF00) | (p[1] & 0xF0) | p[2] >> 4]\n"
+    "           | low[(p[0] & 15) << 8 | (p[2] & 15) << 4 | (p[1] & 15)]; }\n"
+)
+
+
+@pytest.mark.parametrize("body,sbox,reason", [
+    pytest.param(body, sbox, reason, id=f"{body}-{reason}") for body, sbox, reason in [
+        # A different association: the self-check must catch the rounding drift.
+        ("x = mu * (x * (1.0 - x));", "", "self-check failed"),
+        ("x = (mu * x) * (1.0 - x)", "", "gcc exited with status 1"),  # a syntax error
+        # A good orbit loop does not make up for a missing or wrong S-box loop.
+        (GOOD_STEP, "", "has no sbox_words"),
+        (GOOD_STEP, WRONG_SBOX, "S-box self-check failed"),
+    ]
 ])
-def test_fallback_on_bad_kernel(fresh_cache, tmp_path, monkeypatch, capfd, body, reason):
+def test_fallback_on_bad_kernel(fresh_cache, tmp_path, monkeypatch, capfd, body, sbox, reason):
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
     source = tmp_path / "stub.c"
@@ -301,6 +317,7 @@ def test_fallback_on_bad_kernel(fresh_cache, tmp_path, monkeypatch, capfd, body,
         "#include <stdint.h>\n"
         "void logistic_orbit(double x, double mu, int64_t n, double *out)\n"
         f"{{ for (int64_t i = 0; i < n; i++) {{ {body} out[i] = x; }} }}\n"
+        + sbox
     )
     monkeypatch.setattr(keystream, "_KERNEL_SOURCE", str(source))
     assert_python_fallback(capfd, reason)
