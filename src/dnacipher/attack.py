@@ -15,12 +15,16 @@ test suite:
 Every stage's test at a position depends only on the pair index
 plain << 6 | cipher of its packed triples, so each stage is a lookup in a
 table over the 4096 indices, derived from ENCRYPT_TABLES on first use.
-Every stage reads the pair index in the cipher kernel's passes of
-PASS_POSITIONS positions.  Stages 1-3 want one witness each, the first
-position in raster order that passes: they stop at the first pass with a
+The index is built pass by pass, in the cipher kernel's passes of
+PASS_POSITIONS positions, from the slices of the two images' DigitImage;
+no index of the whole image is built.  Stages 1-3 are the public
+recover_map_c, recover_k1 and recover_k2_class, which
+recover_equivalent_key runs in turn.  Each wants one witness, the first
+position in raster order that passes: it stops at the first pass with a
 hit, so reports are deterministic and a witness near the start costs one
 pass.  Stage 4 reads h_i at every position off the inverse of the class's
-four ENCRYPT_TABLES rows, and so rejects non-genuine pairs.
+four ENCRYPT_TABLES rows, in the same passes, and so rejects non-genuine
+pairs.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .cipher import (
     DigitImage,
     RgbImage,
     apply_sbox,
-    pack_triples,
+    image_to_digits,
     positive_dimensions,
     sbox_tables,
 )
@@ -82,7 +86,7 @@ class EquivalentKey:
             raise ValueError(f"rule sequence must have length {n}")
         if self.h.min() < 1 or self.h.max() > 8:
             raise ValueError("rule sequence entries must be in [1, 8]")
-        self.h = self.h.astype(np.uint8)
+        self.h = self.h.astype(np.uint8, copy=False)
 
 
 @dataclass
@@ -109,18 +113,6 @@ def k1_candidates(map_c: int) -> tuple[int, int]:
     cands = tuple(r for r in range(1, 9) if int(DECODE[r - 1, Base.C]) == map_c)
     assert len(cands) == 2
     return cands
-
-
-def _check_geometry(a, b) -> None:
-    if (a.width, a.height) != (b.width, b.height):
-        raise ValueError(
-            f"geometry mismatch: {a.width}x{a.height} vs {b.width}x{b.height}"
-        )
-
-
-def _pair_index(plain_packed: np.ndarray, cipher_packed: np.ndarray) -> np.ndarray:
-    """Each position's pair index plain << 6 | cipher of its packed triples."""
-    return (plain_packed.astype(np.uint16) << 6) | cipher_packed
 
 
 @functools.cache
@@ -179,40 +171,36 @@ def _rule_table(k1: int, cls: RuleClass) -> np.ndarray:
     return table.ravel()
 
 
-def _first_hit(table: np.ndarray, q: np.ndarray, stage: FailureStage) -> tuple[int, int]:
+def _pair_passes(plain: DigitImage, cipher: DigitImage):
+    """(start, pair indices plain << 6 | cipher) of each pass of
+    PASS_POSITIONS positions, in raster order; the two images must have the
+    same geometry."""
+    if (plain.width, plain.height) != (cipher.width, cipher.height):
+        raise ValueError(f"geometry mismatch: {plain.width}x{plain.height} "
+                         f"vs {cipher.width}x{cipher.height}")
+    for s in range(0, plain.packed.size, PASS_POSITIONS):
+        q = plain.packed[s:s + PASS_POSITIONS].astype(np.uint16) << 6
+        q |= cipher.packed[s:s + PASS_POSITIONS]
+        yield s, q
+
+
+def _first_hit(table: np.ndarray, plain_digits: DigitImage, cipher_digits: DigitImage,
+               stage: FailureStage) -> tuple[int, int]:
     """(entry, position) of the first nonzero table entry in raster order."""
-    for s in range(0, q.size, PASS_POSITIONS):
-        hit = table.take(q[s:s + PASS_POSITIONS]) != 0
+    for s, q in _pair_passes(plain_digits, cipher_digits):
+        hit = table.take(q) != 0
         j = int(hit.argmax())
         if hit[j]:
-            return int(table[q[s + j]]), s + j
+            return int(table[q[j]]), s + j
     raise MissingWitnessError(stage)
-
-
-def _map_c(q: np.ndarray) -> tuple[int, int]:
-    code, i = _first_hit(_stage_tables()[0], q, FailureStage.NO_STEP1_WITNESS)
-    return code - 1, i
-
-
-def _k1(q: np.ndarray, map_c: int) -> tuple[int, int]:
-    cands = k1_candidates(map_c)
-    code, i = _first_hit(_stage_tables()[1][map_c], q, FailureStage.NO_STEP2_WITNESS)
-    return cands[code - 1], i
-
-
-def _k2_class(q: np.ndarray, k1: int) -> tuple[RuleClass, int]:
-    table = _stage_tables()[2][check_rule(k1) - 1]
-    code, i = _first_hit(table, q, FailureStage.NO_STEP3_WITNESS)
-    if code == 3:
-        raise ValueError("cipher digits inconsistent with the pipeline; not a genuine pair")
-    return (RuleClass.A, RuleClass.B)[code - 1], i
 
 
 def recover_map_c(plain_digits: DigitImage, cipher_digits: DigitImage) -> tuple[int, int]:
     """Stage 1: find a position with equal g/b cipher digits; the plaintext
     b digit there is the digit that k1 maps to C.  Returns (digit, witness)."""
-    _check_geometry(plain_digits, cipher_digits)
-    return _map_c(_pair_index(plain_digits.packed, cipher_digits.packed))
+    code, i = _first_hit(_stage_tables()[0], plain_digits, cipher_digits,
+                         FailureStage.NO_STEP1_WITNESS)
+    return code - 1, i
 
 
 def recover_k1(
@@ -226,8 +214,9 @@ def recover_k1(
     pattern is preserved by the per-position bijection, so it selects the
     true candidate.  Returns (k1, witness).
     """
-    _check_geometry(plain_digits, cipher_digits)
-    return _k1(_pair_index(plain_digits.packed, cipher_digits.packed), map_c)
+    code, i = _first_hit(_stage_tables()[1][check_digit(map_c)], plain_digits,
+                         cipher_digits, FailureStage.NO_STEP2_WITNESS)
+    return k1_candidates(map_c)[code - 1], i
 
 
 def recover_k2_class(
@@ -236,34 +225,38 @@ def recover_k2_class(
     """Stage 3: at a position where two post-addition bases are distinct and
     non-complementary, the XOR of their cipher digits is 1 or 2 and names the
     rule class of k2.  Returns (class, witness)."""
-    _check_geometry(plain_digits, cipher_digits)
-    return _k2_class(_pair_index(plain_digits.packed, cipher_digits.packed), k1)
+    table = _stage_tables()[2][check_rule(k1) - 1]
+    code, i = _first_hit(table, plain_digits, cipher_digits, FailureStage.NO_STEP3_WITNESS)
+    if code == 3:
+        raise ValueError("cipher digits inconsistent with the pipeline; not a genuine pair")
+    return (RuleClass.A, RuleClass.B)[code - 1], i
 
 
 def recover_equivalent_key(plain: RgbImage, cipher: RgbImage) -> AttackReport:
-    """Run all four stages on one known (plain, cipher) pair.
+    """Run all four stages on one known (plain, cipher) pair: the public
+    stages 1-3 on the pair's packed triples, then stage 4 in the same
+    passes.
 
     On success the report carries the equivalent key; any missing witness
     aborts with a stage tag instead of guessing.  A position whose plain and
     cipher triples no rule of the recovered class links raises ValueError.
     """
-    _check_geometry(plain, cipher)
-    q = _pair_index(pack_triples(plain.pixels), pack_triples(cipher.pixels))
+    pd, cd = image_to_digits(plain), image_to_digits(cipher)
     report = AttackReport()
     try:
-        report.map_c, report.step1_witness = _map_c(q)
+        report.map_c, report.step1_witness = recover_map_c(pd, cd)
         report.k1_candidates = k1_candidates(report.map_c)
-        k1, report.step2_witness = _k1(q, report.map_c)
-        report.k2_class, report.step3_witness = _k2_class(q, k1)
+        k1, report.step2_witness = recover_k1(pd, cd, report.map_c)
+        report.k2_class, report.step3_witness = recover_k2_class(pd, cd, k1)
     except MissingWitnessError as err:
         report.failure_stage = err.stage
         return report
 
     # Stage 4: every position's (plain, cipher) triple pair names its rule.
     table = _rule_table(k1, report.k2_class)
-    h = np.empty(q.size, dtype=np.uint8)
-    for s in range(0, q.size, PASS_POSITIONS):
-        table.take(q[s:s + PASS_POSITIONS], out=h[s:s + PASS_POSITIONS])
+    h = np.empty(pd.packed.size, dtype=np.uint8)
+    for s, q in _pair_passes(pd, cd):
+        table.take(q, out=h[s:s + q.size])
     if not h.all():
         raise ValueError("channel rule derivations disagree; not a genuine pair")
     report.recovered = EquivalentKey(k1, h, plain.width, plain.height)
@@ -291,13 +284,18 @@ def equivalent_decrypt(cipher: RgbImage, ek: EquivalentKey) -> RgbImage:
     rows = ENCRYPT_TABLES[ek.k1 - 1, :, 0]
     digit = np.full(9, 4, dtype=np.uint8)
     digit[rules] = (rows[rules - 1] ^ rows[rules[0] - 1]) // 21
-    digits = digit.take(ek.h)
-    if digits.max() > 3:
-        i = int(np.argmax(digits > 3))
-        raise ValueError(f"equivalent key mixes rule classes A and B: rule {ek.h[0]} "
-                         f"at position 0, rule {ek.h[i]} at position {i}")
+    # in passes of whole pixels: pack_digits packs four digits per byte
+    masks = np.empty(cipher.pixel_count, dtype=np.uint8)
+    step = 4 * max(1, PASS_POSITIONS // 4)
+    for s in range(0, ek.h.size, step):
+        digits = digit.take(ek.h[s:s + step])
+        if digits.max() > 3:
+            i = s + int(np.argmax(digits > 3))
+            raise ValueError(f"equivalent key mixes rule classes A and B: rule {ek.h[0]} "
+                             f"at position 0, rule {ek.h[i]} at position {i}")
+        masks[s // 4:(s + digits.size) // 4] = pack_digits(digits)
     tables = sbox_tables(ek.k1, int(rules[0]))[1]
-    plain = apply_sbox(tables, cipher.pixels, pack_digits(digits), inverse=True)
+    plain = apply_sbox(tables, cipher.pixels, masks, inverse=True)
     return RgbImage(ek.width, ek.height, plain)
 
 

@@ -419,8 +419,13 @@ def test_no_step2_constructed():
 def test_geometry_mismatch_rejected(true_key):
     a = natural_image(8, 8, seed=20)
     b = natural_image(8, 4, seed=21)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^geometry mismatch: 8x8 vs 8x4$"):
         recover_equivalent_key(a, b)
+    pd, cd = image_to_digits(b), image_to_digits(a)
+    for stage in (lambda: recover_map_c(pd, cd), lambda: recover_k1(pd, cd, 0),
+                  lambda: recover_k2_class(pd, cd, 1)):
+        with pytest.raises(ValueError, match="^geometry mismatch: 8x4 vs 8x8$"):
+            stage()
     cipher = encrypt(a, true_key)
     report = recover_equivalent_key(a, cipher)
     with pytest.raises(ValueError):
@@ -461,11 +466,16 @@ def test_class_rules_are_one_row_xor_a_mask_digit():
 @pytest.mark.parametrize("h, message", [
     ([1, 2, 1, 1], "rule 1 at position 0, rule 2 at position 1"),
     ([4, 4, 4, 8], "rule 4 at position 0, rule 8 at position 3"),
+    ([1] * 10 + [2, 1], "rule 1 at position 0, rule 2 at position 10"),
 ])
-def test_equivalent_decrypt_rejects_mixed_classes(h, message):
-    cipher = RgbImage(1, 1, np.zeros((1, 3), dtype=np.uint8))
+def test_equivalent_decrypt_rejects_mixed_classes(h, message, monkeypatch):
+    # passes of one pixel: a mixed rule in a later pass is named by its
+    # position in the whole key
+    monkeypatch.setattr(attack, "PASS_POSITIONS", 4)
+    width = len(h) // 4
+    cipher = RgbImage(width, 1, np.zeros((width, 3), dtype=np.uint8))
     with pytest.raises(ValueError, match=f"^equivalent key mixes rule classes A and B: {message}$"):
-        equivalent_decrypt(cipher, EquivalentKey(3, h, 1, 1))
+        equivalent_decrypt(cipher, EquivalentKey(3, h, width, 1))
 
 
 def test_eqkey_bytes_roundtrip(true_key, natural_64):

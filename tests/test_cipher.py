@@ -478,6 +478,7 @@ def test_sbox_words_paths_agree(monkeypatch):
 
 
 def test_kernel_pass_size_does_not_change_output(orbit_path, monkeypatch):
+    import dnacipher.attack as attack_module
     import dnacipher.cipher as cipher_module
 
     rng = np.random.default_rng(7)
@@ -488,28 +489,35 @@ def test_kernel_pass_size_does_not_change_output(orbit_path, monkeypatch):
     ek = EquivalentKey(5, rng.choice(RuleClass.B.rules, 4 * 37), 37, 1)
     whole = equivalent_decrypt(cipher, ek)
     sbox = [apply_sbox(tables[i], pixels, masks, inverse=bool(i)) for i in (0, 1)]
-    for positions in (1, 8, 40, 72):
+    # passes that are not whole pixels (1, 3, 5) as well as whole ones
+    for positions in (1, 3, 5, 8, 40, 72):
         monkeypatch.setattr(cipher_module, "PASS_POSITIONS", positions)
+        monkeypatch.setattr(attack_module, "PASS_POSITIONS", positions)
         assert equivalent_decrypt(cipher, ek) == whole
         for i in (0, 1):
             assert np.array_equal(apply_sbox(tables[i], pixels, masks, inverse=bool(i)), sbox[i])
 
 
 def test_cipher_peak_memory_under_16_mib():
+    from dnacipher.attack import recover_equivalent_key
     from dnacipher.synth import natural_image
 
     img = natural_image(1024, 1024, seed=11)
     key = SecretKey(4, 6, 0.61, 3.93, 0.27, 3.71)
+    cipher = encrypt(img, key)
+    ek = recover_equivalent_key(img, cipher).recovered
+    runs = [(encrypt, (img, key)), (decrypt, (img, key)), (equivalent_decrypt, (cipher, ek))]
     tracemalloc.start()
     try:
-        for run in (encrypt, decrypt):
+        for run, args in runs:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            out = run(img, key)
+            out = run(*args)
             peak = tracemalloc.get_traced_memory()[1] - before
             del out
             # the 3 MiB output, 1 MiB of mask bytes and one pass of
-            # temporaries; a 4L-value orbit alone would be 32 MiB
+            # temporaries; a 4L-value orbit, or an intp index over the 4L
+            # rules of an equivalent key, alone would be 32 MiB
             assert peak < 16 << 20, (run.__name__, peak)
     finally:
         tracemalloc.stop()

@@ -228,6 +228,23 @@ def test_orbit_paths_agree_on_hostile_arguments(x0, mu, n):
     assert native == python
 
 
+def test_native_path_never_runs_the_python_orbit(true_key, monkeypatch):
+    # loading the library ran the Python loop once, for its self-check;
+    # from then on the orbit and the mask bytes come from the compiled loop
+    require_native_orbit()
+    with pytest.MonkeyPatch.context() as mp:
+        force_python_orbit(mp)
+        want = keystreams(true_key, 4099).masks
+
+    def refuse(*args):
+        raise AssertionError("the native path ran the Python orbit loop")
+
+    monkeypatch.setattr(keystream, "_python_orbit", refuse)
+    got = logistic_orbit(0.501, 3.81, 1003)
+    assert got.tobytes() == orbit_reference(0.501, 3.81, 1003).tobytes()
+    assert np.array_equal(keystreams(true_key, 4099).masks, want)
+
+
 @pytest.fixture
 def fresh_cache(tmp_path, monkeypatch):
     """An empty kernel cache, and no kernel loaded in this process."""
