@@ -75,8 +75,8 @@ def measure_avalanche(
     # The mask bytes are still made, so that a key whose orbit escapes is
     # refused here as by encrypt.
     keystreams(key, img.pixel_count)
-    tables = sbox_tables(key.k1, key.k2)[0]
-    baseline = sbox_words(tables, img.pixels)
+    table = sbox_tables(key.k1, key.k2)[0]
+    baseline = sbox_words(table, img.pixels)
     rng = np.random.default_rng(seed)
     draws = [(rng.integers(img.pixel_count), rng.integers(3), rng.integers(8))
              for _ in range(trials)]
@@ -88,7 +88,7 @@ def measure_avalanche(
         batch = np.repeat(img.pixels[None], n, axis=0)
         trial = slice(s, s + n)
         batch[np.arange(n), pixel[trial], channel[trial]] ^= (1 << bit[trial]).astype(np.uint8)
-        words = sbox_words(tables, batch)
+        words = sbox_words(table, batch)
         rows, pixels = np.divmod(np.flatnonzero(words != baseline), words.shape[1])
         changed = (words[rows, pixels] ^ baseline[pixels]).view(np.uint8).reshape(-1, 4)
         np.add.at(digits, s + rows, _CHANGED_DIGITS[changed].sum(axis=1))

@@ -294,8 +294,8 @@ def equivalent_decrypt(cipher: RgbImage, ek: EquivalentKey) -> RgbImage:
             raise ValueError(f"equivalent key mixes rule classes A and B: rule {ek.h[0]} "
                              f"at position 0, rule {ek.h[i]} at position {i}")
         masks[s // 4:(s + digits.size) // 4] = pack_digits(digits)
-    tables = sbox_tables(ek.k1, int(rules[0]))[1]
-    plain = apply_sbox(tables, cipher.pixels, masks, inverse=True)
+    table = sbox_tables(ek.k1, int(rules[0]))[1]
+    plain = apply_sbox(table, cipher.pixels, masks, inverse=True)
     return RgbImage(ek.width, ek.height, plain)
 
 
@@ -307,7 +307,7 @@ _EQK_HEADER = struct.Struct("<4sIIB")
 
 def eqkey_to_bytes(ek: EquivalentKey) -> bytes:
     header = _EQK_HEADER.pack(_EQK_MAGIC, ek.width, ek.height, ek.k1)
-    return header + ek.h.astype(np.uint8).tobytes()
+    return b"".join((header, np.ascontiguousarray(ek.h)))
 
 
 def eqkey_from_bytes(data: bytes) -> EquivalentKey:

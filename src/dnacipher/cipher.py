@@ -15,14 +15,15 @@ all three channels.  So a pixel encrypts as the S-box S, which applies
 F = ENCRYPT_TABLES[k1 - 1, k2 - 1] to each of its four digit triples,
 followed by XOR of every channel byte with the pixel's mask byte M, whose
 four digits are the pixel's m_i (keystream.Keystreams).  `sbox_words` is
-the one place S meets pixels: it reads two 4096-entry tables over the
-(r, g, b) high and low nibbles (`sbox_tables`) and gives each pixel's output
-bytes as one uint32.  The lookups run in the C loop of the compiled kernel
-library that keystream loads beside the orbit loop, or, where that library
-is not used, in numpy, which is also the loop's test oracle.  `apply_sbox`
-calls it in passes of PASS_POSITIONS // 4 pixels and XORs M after it, or,
-to decrypt, before the inverse tables; the avalanche in analysis calls it
-on whole batches of flipped images.
+the one place S meets pixels: it reads one 4096-entry table over (r, g, b)
+nibble triples (`sbox_tables`) at a pixel's high nibbles, shifted by 4, and
+at its low nibbles, and gives the pixel's output bytes as one uint32.  The
+lookups run in the C loop of the compiled kernel library that keystream
+loads beside the orbit loop, or, where that library is not used, in numpy,
+which is also the loop's test oracle.  `apply_sbox` calls it in passes of
+PASS_POSITIONS // 4 pixels and XORs M after it, or, to decrypt, before the
+inverse table; the avalanche in analysis calls it on whole batches of
+flipped images.
 
 Steps (a)-(b) (encode under k1, chained addition), followed by decoding
 under a rule h, are derived once, in ENCRYPT_TABLES[k1 - 1, h - 1]; every
@@ -104,7 +105,7 @@ class DigitImage:
         self.packed = np.asarray(self.packed)
         if self.packed.shape != (n,) or self.packed.dtype != np.uint8:
             raise ValueError(f"packed digit triples must be {n} uint8 entries")
-        if (self.packed >= 64).any():
+        if self.packed.max() >= 64:
             raise ValueError("packed digit triples must be below 64")
 
     @property
@@ -178,9 +179,9 @@ def images_per_pass(pixel_count: int) -> int:
 def pack_triples(pixels: np.ndarray) -> np.ndarray:
     """(..., L, 3) bytes -> (..., 4L) packed digit triples, in digit-position
     order."""
-    words = _SPREAD[0].take(pixels[..., 0])
-    words |= _SPREAD[1].take(pixels[..., 1])
-    words |= _SPREAD[2].take(pixels[..., 2])
+    words = _SPREAD[0][pixels[..., 0]]
+    words |= _SPREAD[1][pixels[..., 1]]
+    words |= _SPREAD[2][pixels[..., 2]]
     return words.view(np.uint8)
 
 
@@ -189,57 +190,50 @@ def pack_triples(pixels: np.ndarray) -> np.ndarray:
 _MASK_SPREAD = np.array([1, 1, 1, 0], dtype=np.uint8).view(np.uint32)[0]
 
 
-def _nibble_table(f: np.ndarray) -> np.ndarray:
-    """`f` on nibble triples: entry r<<8 | g<<4 | b is a uint32 whose first
-    three memory bytes are the output nibbles, their high digits `f` of the
-    triple of r, g and b's high digits, their low digits `f` of the triple of
-    low digits.  Built as bytes, so byte order does not matter."""
+@functools.cache
+def sbox_tables(k1: int, k2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The S-box of key rules (k1, k2) and its inverse, each as one table over
+    nibble triples: entry r<<8 | g<<4 | b is a uint32 whose first three
+    memory bytes are the output nibbles for input nibbles r, g, b, their high
+    digits F (or its inverse) of the triple of high digits, their low digits
+    F of the triple of low digits.  A pixel's output bytes are the table at
+    its high nibbles, shifted by 4, OR the table at its low nibbles; a nibble
+    shifted by 4 bits stays inside its byte.  Built as bytes, so byte order
+    does not matter.  The tables are cached and shared by every caller, so
+    they are read-only."""
+    f = np.stack((ENCRYPT_TABLES, DECRYPT_TABLES))[:, k1 - 1, k2 - 1]
     # nibbles[c, q]: channel c's nibble in q; its two digits are the last
     # two of the byte it is
     nibbles = np.arange(4096) >> np.array([8, 4, 0])[:, None] & 15
-    high = f[pack_planes(*DIGITS[nibbles, 2])]
-    low = f[pack_planes(*DIGITS[nibbles, 3])]
-    words = np.zeros((4096, 4), dtype=np.uint8)
-    words[:, :3] = (TRIPLE_DIGITS[:, high] << 2 | TRIPLE_DIGITS[:, low]).T
-    return words.view(np.uint32)[:, 0]
+    high = f[:, pack_planes(*DIGITS[nibbles, 2])]
+    low = f[:, pack_planes(*DIGITS[nibbles, 3])]
+    words = np.zeros((2, 4096, 4), dtype=np.uint8)
+    words[..., :3] = np.moveaxis(TRIPLE_DIGITS[:, high] << 2 | TRIPLE_DIGITS[:, low], 0, -1)
+    tables = words.view(np.uint32)[..., 0]
+    tables.flags.writeable = False
+    return tables[0], tables[1]
 
 
-@functools.cache
-def sbox_tables(k1: int, k2: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The S-box of key rules (k1, k2) and its inverse, each as (high, low)
-    tables: entry r<<8 | g<<4 | b of `high` holds the output's high nibbles
-    for input high nibbles r, g, b, each in its channel's memory byte, and
-    `low` the low nibbles for input low nibbles.  Their OR is a pixel's
-    output bytes.  A nibble shifted by 4 bits stays inside its byte.  The
-    tables are cached and shared by every caller, so they are read-only."""
-    tables = []
-    for f in (ENCRYPT_TABLES[k1 - 1, k2 - 1], DECRYPT_TABLES[k1 - 1, k2 - 1]):
-        low = _nibble_table(f)
-        tables.append((low << 4, low))
-        for table in tables[-1]:
-            table.flags.writeable = False
-    return tuple(tables)
-
-
-def sbox_words(tables: tuple[np.ndarray, np.ndarray], pixels: np.ndarray) -> np.ndarray:
-    """The S-box `tables` on byte `pixels` of shape (..., 3): one uint32 per
+def sbox_words(table: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """The S-box `table` on byte `pixels` of shape (..., 3): one uint32 per
     pixel whose first three memory bytes are its output bytes and whose
-    fourth is 0.  Runs in the compiled kernel library where it loaded
-    (keystream.orbit_backend), else in numpy."""
+    fourth is 0: the table at the high nibbles, shifted by 4, OR the table
+    at the low nibbles.  Runs in the compiled kernel library where it
+    loaded (keystream.orbit_backend), else in numpy."""
     kernel = keystream._native_kernel()[0]
     if kernel is not None:
-        return kernel.sbox_words(tables, pixels)
-    high, low = tables
+        return kernel.sbox_words(table, pixels)
     r, g, b = np.moveaxis(pixels, -1, 0)
     r = r.astype(np.uint16)
-    words = high.take(r << 4 & 0xF00 | g & 0xF0 | b >> 4)
-    words |= low.take((r & 15) << 8 | (g & 15) << 4 | b & 15)
+    words = table.take(r << 4 & 0xF00 | g & 0xF0 | b >> 4)
+    words <<= 4
+    words |= table.take((r & 15) << 8 | (g & 15) << 4 | b & 15)
     return words
 
 
-def apply_sbox(tables: tuple[np.ndarray, np.ndarray], pixels: np.ndarray,
-               masks: np.ndarray, *, inverse: bool = False) -> np.ndarray:
-    """The cipher kernel: each pixel's bytes through the S-box `tables`, then
+def apply_sbox(table: np.ndarray, pixels: np.ndarray, masks: np.ndarray, *,
+               inverse: bool = False) -> np.ndarray:
+    """The cipher kernel: each pixel's bytes through the S-box `table`, then
     XOR with its mask byte in every channel; with `inverse`, the XOR comes
     first.  `pixels` has shape (L, 3) and `masks` L entries.  Runs in pixel
     passes of PASS_POSITIONS // 4."""
@@ -252,7 +246,7 @@ def apply_sbox(tables: tuple[np.ndarray, np.ndarray], pixels: np.ndarray,
             # m repeated per channel: a flat XOR, over twice as fast as a
             # broadcast of m[:, None] over the three channels
             p = p ^ np.repeat(m, 3).reshape(-1, 3)
-        words = sbox_words(tables, p)
+        words = sbox_words(table, p)
         if not inverse:
             words ^= m * _MASK_SPREAD
         out[s:s + step] = words.view(np.uint8).reshape(-1, 4)[:, :3]
@@ -265,8 +259,8 @@ def _run_cipher(img: RgbImage, key: SecretKey, streams: Keystreams | None,
         streams = keystreams(key, img.pixel_count)
     elif streams.masks.size != img.pixel_count:
         raise ValueError("injected keystreams do not match the image size")
-    tables = sbox_tables(key.k1, key.k2)[inverse]
-    pixels = apply_sbox(tables, img.pixels, streams.masks, inverse=inverse)
+    table = sbox_tables(key.k1, key.k2)[inverse]
+    pixels = apply_sbox(table, img.pixels, streams.masks, inverse=inverse)
     return RgbImage(img.width, img.height, pixels)
 
 

@@ -9,12 +9,12 @@ beside the loop of the cipher's S-box words (`cipher.sbox_words`).  The
 library is compiled with gcc on first use, cached per user in
 `$XDG_CACHE_HOME/dnacipher` (or `~/.cache/dnacipher`) and loaded through
 ctypes; it is used only if both loops are present and pass their
-self-checks, the orbit against the Python loop first, then the S-box loop
-on every high and low nibble index.  Where that is not possible (no gcc, an
-unwritable cache, a failed load or self-check, a machine other than x86-64
-or aarch64) the orbit is evaluated on Python floats, in a generator unrolled
-four steps per pass that np.fromiter drains, and the S-box in numpy;
-`orbit_backend()` says which path runs.
+self-checks, the orbit against the Python loop first, then the S-box loop,
+which must give back every pixel through the identity table.  Where that is
+not possible (no gcc, an unwritable cache, a failed load or self-check, a
+machine other than x86-64 or aarch64) the orbit is evaluated on Python
+floats, in a generator unrolled four steps per pass that np.fromiter drains,
+and the S-box in numpy; `orbit_backend()` says which path runs.
 
 Every orbit is computed in passes of at most PASS_POSITIONS iterates, each
 pass starting from the last iterate of the one before; iteration is its own
@@ -168,10 +168,10 @@ class _NoKernel(Exception):
 
 class _Kernel(NamedTuple):
     """The compiled loops: `orbit(x0, mu, n)` gives a float64 orbit and
-    `sbox_words(tables, pixels)` one uint32 word per (..., 3) pixel."""
+    `sbox_words(table, pixels)` one uint32 per (..., 3) pixel from one table."""
 
     orbit: Callable[[float, float, int], np.ndarray]
-    sbox_words: Callable[[tuple[np.ndarray, np.ndarray], np.ndarray], np.ndarray]
+    sbox_words: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _kernel_file(machine: str) -> str:
@@ -223,7 +223,7 @@ def _symbol(lib, path: str, name: str, *argtypes):
 def _load_kernel() -> _Kernel:
     """The compiled kernel library, built on a cache miss.  The orbit loop
     is looked up and checked against the Python orbit first, then the S-box
-    loop on every nibble index.  Raises _NoKernel when either cannot be
+    loop on the identity table.  Raises _NoKernel when either cannot be
     used."""
     machine = platform.machine()
     if machine not in _KERNEL_MACHINES:
@@ -258,29 +258,28 @@ def _load_kernel() -> _Kernel:
             f"self-check failed: the kernel differs from the Python loop at step {step}"
         )
 
-    sbox_fn = _symbol(lib, path, "sbox_words", *(ctypes.c_void_p,) * 3,
+    sbox_fn = _symbol(lib, path, "sbox_words", *(ctypes.c_void_p,) * 2,
                       ctypes.c_int64, ctypes.c_void_p)
 
-    def sbox_words(tables, pixels):
-        high, low = (np.ascontiguousarray(t, dtype=np.uint32) for t in tables)
+    def sbox_words(table, pixels):
+        table = np.ascontiguousarray(table, dtype=np.uint32)
         pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
         # the C loop trusts these sizes
-        if high.size != 4096 or low.size != 4096 or pixels.shape[-1:] != (3,):
-            raise ValueError("sbox_words needs two 4096-entry tables and (..., 3) pixels")
+        if table.size != 4096 or pixels.shape[-1:] != (3,):
+            raise ValueError("sbox_words needs a 4096-entry table and (..., 3) pixels")
         out = np.empty(pixels.shape[:-1], dtype=np.uint32)
-        sbox_fn(high.ctypes.data, low.ctypes.data, pixels.ctypes.data, out.size,
-                out.ctypes.data)
+        sbox_fn(table.ctypes.data, pixels.ctypes.data, out.size, out.ctypes.data)
         return out
 
-    # Every high nibble index once, and every low one once in another order,
-    # through tables whose words are their index and their index << 12, so
-    # that each word shows both indices the loop read.
-    index = np.arange(4096, dtype=np.uint32)
-    low_index = index * 1667 & 4095
-    shifts = np.array([8, 4, 0], dtype=np.uint32)
-    pixels = ((index[:, None] >> shifts & 15) << 4 | low_index[:, None] >> shifts & 15)
-    got = sbox_words((index, index << 12), pixels.astype(np.uint8))
-    want = index | low_index << 12
+    # The identity table, each nibble in its channel's memory byte, must give
+    # back every pixel: every high nibble triple once, and every low one once
+    # in another order, so each word shows both indices the loop read.
+    index = np.arange(4096)
+    nibbles = index[:, None] >> np.array([8, 4, 0]) & 15
+    pixels = (nibbles << 4 | nibbles[index * 1667 & 4095]).astype(np.uint8)
+    identity, want = (np.pad(b.astype(np.uint8), ((0, 0), (0, 1))).view(np.uint32)[:, 0]
+                      for b in (nibbles, pixels))
+    got = sbox_words(identity, pixels)
     if not np.array_equal(got, want):
         i = int(np.argmax(got != want))
         raise _NoKernel(

@@ -70,4 +70,4 @@ def read_ppm(data: bytes) -> RgbImage:
 
 def write_ppm(img: RgbImage) -> bytes:
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.pixels.tobytes()
+    return b"".join((header, np.ascontiguousarray(img.pixels)))

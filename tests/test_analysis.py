@@ -93,7 +93,7 @@ def test_avalanche_counts_violations_of_a_mixing_kernel(monkeypatch, true_key):
     honest = measure_avalanche(img, true_key, trials=60, seed=1)
     real = analysis.sbox_words
     monkeypatch.setattr(
-        analysis, "sbox_words", lambda tables, pixels: np.roll(real(tables, pixels), 1, axis=-1)
+        analysis, "sbox_words", lambda table, pixels: np.roll(real(table, pixels), 1, axis=-1)
     )
     mixed = measure_avalanche(img, true_key, trials=60, seed=1)
     assert honest.locality_violations == 0

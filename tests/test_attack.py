@@ -489,6 +489,10 @@ def test_eqkey_bytes_roundtrip(true_key, natural_64):
     assert (back.width, back.height) == (ek.width, ek.height)
     assert np.array_equal(back.h, ek.h)
     assert equivalent_decrypt(cipher, back) == natural_64
+    # a strided rule sequence writes the same bytes
+    strided = EquivalentKey(ek.k1, np.repeat(ek.h, 2)[::2], ek.width, ek.height)
+    assert not strided.h.flags.c_contiguous
+    assert eqkey_to_bytes(strided) == data
 
 
 @pytest.mark.parametrize(

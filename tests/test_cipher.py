@@ -424,30 +424,28 @@ def test_keystreams_build_no_digit_streams(monkeypatch):
 
 
 def test_sbox_tables_apply_the_rule_table_digit_by_digit():
-    # every (k1, k2) and every nibble triple: the high and low tables and
-    # their inverses hold F (or its inverse) applied to the high digits of
-    # the three nibbles and, apart, to their low digits
+    # every (k1, k2) and every nibble triple: the table and its inverse hold
+    # F (or its inverse) applied to the high digits of the three nibbles and,
+    # apart, to their low digits
     q = np.arange(4096)
     nibbles = [(q >> 8) & 15, (q >> 4) & 15, q & 15]
     first = (nibbles[0] >> 2) << 4 | (nibbles[1] >> 2) << 2 | nibbles[2] >> 2
     second = (nibbles[0] & 3) << 4 | (nibbles[1] & 3) << 2 | nibbles[2] & 3
     for k1, k2 in itertools.product(range(1, 9), repeat=2):
         forward, inverse = sbox_tables(k1, k2)
-        for (high, low), f in ((forward, ENCRYPT_TABLES[k1 - 1, k2 - 1]),
-                               (inverse, DECRYPT_TABLES[k1 - 1, k2 - 1])):
+        for table, f in ((forward, ENCRYPT_TABLES[k1 - 1, k2 - 1]),
+                         (inverse, DECRYPT_TABLES[k1 - 1, k2 - 1])):
             a, b = f[first], f[second]
             want = np.stack([(a >> s & 3) << 2 | b >> s & 3 for s in (4, 2, 0)]
                             + [np.zeros(4096, dtype=np.uint8)], axis=1)
-            assert high.dtype == low.dtype == np.uint32
-            assert not (high.flags.writeable or low.flags.writeable)
-            assert np.array_equal(low.view(np.uint8).reshape(4096, 4), want)
-            assert np.array_equal(high.view(np.uint8).reshape(4096, 4), want << 4)
-        # the inverse tables undo the forward ones
-        for high_or_low in (0, 1):
-            out = forward[high_or_low].view(np.uint8).reshape(4096, 4)[:, :3] >> 4 * (1 - high_or_low)
-            back = inverse[1][out[:, 0].astype(np.intp) << 8 | out[:, 1] << 4 | out[:, 2]]
-            assert np.array_equal(back.view(np.uint8).reshape(4096, 4)[:, :3],
-                                  np.stack(nibbles, axis=1))
+            assert table.dtype == np.uint32 and table.shape == (4096,)
+            assert not table.flags.writeable
+            assert np.array_equal(table.view(np.uint8).reshape(4096, 4), want)
+        # the inverse table undoes the forward one
+        out = forward.view(np.uint8).reshape(4096, 4)[:, :3]
+        back = inverse[out[:, 0].astype(np.intp) << 8 | out[:, 1] << 4 | out[:, 2]]
+        assert np.array_equal(back.view(np.uint8).reshape(4096, 4)[:, :3],
+                              np.stack(nibbles, axis=1))
 
 
 def test_sbox_words_paths_agree(monkeypatch):
@@ -464,10 +462,15 @@ def test_sbox_words_paths_agree(monkeypatch):
     shaped = pixels.reshape(8, 512, 3)
     views = [pixels, shaped, pixels[::2], shaped[:, ::3]]
     tables = [t for k in itertools.product(range(1, 9), repeat=2) for t in sbox_tables(*k)]
+    # one read-only table per direction
+    assert len(tables) == 128
+    assert all(t.shape == (4096,) and not t.flags.writeable for t in tables)
     native = [sbox_words(t, p) for t in tables for p in views]
-    # the compiled loop's own size check: the calls above ran it
-    with pytest.raises(ValueError, match="4096-entry tables"):
+    # the compiled loop's own size checks: the calls above ran it
+    with pytest.raises(ValueError, match="4096-entry table and"):
         sbox_words(tables[0], pixels[:, :2])
+    with pytest.raises(ValueError, match="4096-entry table and"):
+        sbox_words(tables[0][:4095], pixels)
     force_python_orbit(monkeypatch)
     for got, want in zip(native, [sbox_words(t, p) for t in tables for p in views]):
         assert got.dtype == want.dtype == np.uint32

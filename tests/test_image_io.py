@@ -42,6 +42,16 @@ def test_write_read_identity():
         assert read_ppm(write_ppm(img)) == img
 
 
+def test_write_of_non_contiguous_pixels():
+    # Fortran-order and strided pixel buffers write the same bytes as a
+    # C-order copy
+    rng = np.random.default_rng(3)
+    pixels = rng.integers(0, 256, (7 * 5, 3), dtype=np.uint8)
+    want = b"P6\n7 5\n255\n" + pixels.tobytes()
+    assert write_ppm(RgbImage(7, 5, np.asfortranarray(pixels))) == want
+    assert write_ppm(RgbImage(7, 5, np.repeat(pixels, 2, axis=0)[::2])) == want
+
+
 def test_read_write_identity_on_canonical_input():
     data = b"P6\n2 2\n255\n" + bytes(range(12))
     assert write_ppm(read_ppm(data)) == data

@@ -306,14 +306,36 @@ def test_fallback_on_corrupt_cached_library(fresh_cache, capfd):
 
 
 GOOD_STEP = "x = (mu * x) * (1.0 - x);"
+HIGH = "(p[0] << 4 & 0xF00) | (p[1] & 0xF0) | p[2] >> 4"
+LOW = "(p[0] & 15) << 8 | (p[1] & 15) << 4 | (p[2] & 15)"
+
+
+def sbox_stub(high=HIGH, shift="<< 4", low=LOW):
+    """An S-box loop with _orbit.c's one-table signature: the table at index
+    `high`, shifted by `shift`, OR the table at index `low`."""
+    return (
+        "void sbox_words(const uint32_t *t, const uint8_t *p, int64_t n, uint32_t *out)\n"
+        f"{{ for (int64_t i = 0; i < n; i++, p += 3) out[i] = t[{high}] {shift} | t[{low}]; }}\n"
+    )
+
+
 # The S-box loop of _orbit.c with the g and b low nibbles swapped.
-WRONG_SBOX = (
-    "void sbox_words(const uint32_t *high, const uint32_t *low,\n"
-    "                const uint8_t *p, int64_t n, uint32_t *out)\n"
-    "{ for (int64_t i = 0; i < n; i++, p += 3)\n"
-    "    out[i] = high[(p[0] << 4 & 0xF00) | (p[1] & 0xF0) | p[2] >> 4]\n"
-    "           | low[(p[0] & 15) << 8 | (p[2] & 15) << 4 | (p[1] & 15)]; }\n"
-)
+WRONG_SBOX = sbox_stub(low="(p[0] & 15) << 8 | (p[2] & 15) << 4 | (p[1] & 15)")
+
+
+def use_stub_kernel(tmp_path, monkeypatch, body, sbox):
+    """Make the kernel library from a stub source: the orbit loop with step
+    `body`, then `sbox`."""
+    if shutil.which("gcc") is None:
+        pytest.skip("no gcc on PATH")
+    source = tmp_path / "stub.c"
+    source.write_text(
+        "#include <stdint.h>\n"
+        "void logistic_orbit(double x, double mu, int64_t n, double *out)\n"
+        f"{{ for (int64_t i = 0; i < n; i++) {{ {body} out[i] = x; }} }}\n"
+        + sbox
+    )
+    monkeypatch.setattr(keystream, "_KERNEL_SOURCE", str(source))
 
 
 @pytest.mark.parametrize("body,sbox,reason", [
@@ -325,19 +347,24 @@ WRONG_SBOX = (
         (GOOD_STEP, "", "has no sbox_words"),
         (GOOD_STEP, WRONG_SBOX, "S-box self-check failed"),
     ]
+] + [
+    pytest.param(GOOD_STEP, sbox, "S-box self-check failed", id=f"S-box loop {name}")
+    for name, sbox in [
+        ("without the shift", sbox_stub(shift="")),
+        ("with high and low swapped", sbox_stub(high=LOW, low=HIGH)),
+    ]
 ])
 def test_fallback_on_bad_kernel(fresh_cache, tmp_path, monkeypatch, capfd, body, sbox, reason):
-    if shutil.which("gcc") is None:
-        pytest.skip("no gcc on PATH")
-    source = tmp_path / "stub.c"
-    source.write_text(
-        "#include <stdint.h>\n"
-        "void logistic_orbit(double x, double mu, int64_t n, double *out)\n"
-        f"{{ for (int64_t i = 0; i < n; i++) {{ {body} out[i] = x; }} }}\n"
-        + sbox
-    )
-    monkeypatch.setattr(keystream, "_KERNEL_SOURCE", str(source))
+    use_stub_kernel(tmp_path, monkeypatch, body, sbox)
     assert_python_fallback(capfd, reason)
+
+
+def test_stub_kernel_with_good_loops_loads(fresh_cache, tmp_path, monkeypatch, capfd):
+    # the stubs above differ from this one in one place each, so each of
+    # their fallbacks is that place's doing
+    use_stub_kernel(tmp_path, monkeypatch, GOOD_STEP, sbox_stub())
+    assert orbit_backend() == "native"
+    assert capfd.readouterr() == ("", "")
 
 
 def test_fallback_on_unsupported_machine(fresh_cache, monkeypatch, capfd):
