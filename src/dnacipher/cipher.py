@@ -14,21 +14,23 @@ into decoding under k2, then XOR with the channel mask m_i = t_i ^ 3z_i in
 all three channels.  So a pixel encrypts as the S-box S, which applies
 F = ENCRYPT_TABLES[k1 - 1, k2 - 1] to each of its four digit triples,
 followed by XOR of every channel byte with the pixel's mask byte M, whose
-four digits are the pixel's m_i (keystream.Keystreams).  `sbox_words` is
-the one place S meets pixels: it reads one 4096-entry table over (r, g, b)
-nibble triples (`sbox_tables`) at a pixel's high nibbles, shifted by 4, and
-at its low nibbles, and gives the pixel's output bytes as one uint32.  The
-lookups run in the C loop of the compiled kernel library that keystream
-loads beside the orbit loop, or, where that library is not used, in numpy,
-which is also the loop's test oracle.  `apply_sbox` calls it in passes of
-PASS_POSITIONS // 4 pixels and XORs M after it, or, to decrypt, before the
-inverse table; the avalanche in analysis calls it on whole batches of
-flipped images.
+four digits are the pixel's m_i (keystream.Keystreams).  S is read as one
+4096-entry table over (r, g, b) nibble triples (`sbox_tables`) at a pixel's
+high nibbles, shifted by 4, and at its low nibbles.  Where the compiled
+kernel library loads (`core.orbit_backend()`), `apply_sbox` runs its pixel
+loop, which does the lookups and the mask XOR (after them to encrypt, before
+the inverse table to decrypt) and writes 3 bytes per pixel, and
+`sbox_words` its word loop; the command line's `encrypt` and `decrypt` call
+the same pixel loop on the file's bytes (`core.cipher_ppm`), without numpy.
+Elsewhere both run in numpy, in passes of PASS_POSITIONS // 4 pixels, and
+the numpy bodies are the loops' test oracle.  The avalanche in analysis
+calls `sbox_words` on whole batches of flipped images.
 
 Steps (a)-(b) (encode under k1, chained addition), followed by decoding
-under a rule h, are derived once, in ENCRYPT_TABLES[k1 - 1, h - 1]; every
-other table of the cipher and the attack is derived from it.  The literal
-five-step pipeline and the base-domain tables live in the test suite.
+under a rule h, are derived once, in `core.rule_row(k1, h)`, the row
+ENCRYPT_TABLES[k1 - 1, h - 1]; every other table of the cipher, the attack
+and the byte path is derived from it.  The literal five-step pipeline and
+the base-domain tables live in the test suite.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import keystream
-from .dna import ADD, DECODE, DIGITS, ENCODE, pack_digits
+from . import core
+from .dna import DIGITS, pack_digits
 from .keystream import PASS_POSITIONS, Keystreams, SecretKey, keystreams
 
 
@@ -142,20 +144,15 @@ def pack_planes(r, g, b) -> np.ndarray:
 
 
 def _build_rule_tables() -> tuple[np.ndarray, np.ndarray]:
-    # Post-addition bases of every packed triple under every k1, each (8, 64).
-    er, eg, eb = (ENCODE[:, d] for d in TRIPLE_DIGITS)
-    ng = ADD[eg, eb]
-    planes = (ADD[er, eg], ng, ADD[ng, eb])
-    # DECODE[:, plane] decodes under every rule h: shape (h, k1, 64).
-    decoded = pack_planes(*(DECODE[:, p] for p in planes))
-    forward = np.ascontiguousarray(decoded.transpose(1, 0, 2))
-    # Every row is a permutation of 0..63, so argsort gives its inverse.
-    return forward, np.argsort(forward, axis=-1).astype(np.uint8)
+    rows = [core.rule_row(k1, h) for k1 in range(1, 9) for h in range(1, 9)]
+    return tuple(np.frombuffer(b"".join(r), dtype=np.uint8).reshape(8, 8, 64)
+                 for r in (rows, map(core.inverse_row, rows)))
 
 
 # ENCRYPT_TABLES[k1 - 1, h - 1, packed plain triple] -> packed cipher triple
-# (encode under k1, chained addition, decode under h); DECRYPT_TABLES holds
-# the inverse of every row.
+# (encode under k1, chained addition, decode under h): the rows of
+# core.rule_row, which the byte path of the command line reads too.
+# DECRYPT_TABLES holds the inverse of every row.  Both are read-only.
 ENCRYPT_TABLES, DECRYPT_TABLES = _build_rule_tables()
 
 # EQUAL_GB[p]: the g and b digits of packed triple p are equal.  On a cipher
@@ -193,25 +190,29 @@ _MASK_SPREAD = np.array([1, 1, 1, 0], dtype=np.uint8).view(np.uint32)[0]
 @functools.cache
 def sbox_tables(k1: int, k2: int) -> tuple[np.ndarray, np.ndarray]:
     """The S-box of key rules (k1, k2) and its inverse, each as one table over
-    nibble triples: entry r<<8 | g<<4 | b is a uint32 whose first three
-    memory bytes are the output nibbles for input nibbles r, g, b, their high
-    digits F (or its inverse) of the triple of high digits, their low digits
-    F of the triple of low digits.  A pixel's output bytes are the table at
-    its high nibbles, shifted by 4, OR the table at its low nibbles; a nibble
-    shifted by 4 bits stays inside its byte.  Built as bytes, so byte order
-    does not matter.  The tables are cached and shared by every caller, so
-    they are read-only."""
-    f = np.stack((ENCRYPT_TABLES, DECRYPT_TABLES))[:, k1 - 1, k2 - 1]
-    # nibbles[c, q]: channel c's nibble in q; its two digits are the last
-    # two of the byte it is
-    nibbles = np.arange(4096) >> np.array([8, 4, 0])[:, None] & 15
-    high = f[:, pack_planes(*DIGITS[nibbles, 2])]
-    low = f[:, pack_planes(*DIGITS[nibbles, 3])]
-    words = np.zeros((2, 4096, 4), dtype=np.uint8)
-    words[..., :3] = np.moveaxis(TRIPLE_DIGITS[:, high] << 2 | TRIPLE_DIGITS[:, low], 0, -1)
-    tables = words.view(np.uint32)[..., 0]
-    tables.flags.writeable = False
-    return tables[0], tables[1]
+    nibble triples (`core.sbox_table` of the row F and of its inverse):
+    entry r<<8 | g<<4 | b is a uint32 whose first three memory bytes are the
+    output nibbles for input nibbles r, g, b.  A pixel's output bytes are the
+    table at its high nibbles, shifted by 4, OR the table at its low nibbles.
+    The tables are cached and shared by every caller, so they are
+    read-only."""
+    def table(row: np.ndarray) -> np.ndarray:
+        words = np.frombuffer(core.sbox_table(row.tobytes()), dtype=np.uint32)
+        words.flags.writeable = False
+        return words
+
+    return table(ENCRYPT_TABLES[k1 - 1, k2 - 1]), table(DECRYPT_TABLES[k1 - 1, k2 - 1])
+
+
+def _native_sbox_words(kernel, table: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    table = np.ascontiguousarray(table, dtype=np.uint32)
+    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
+    # the C loop trusts these sizes
+    if table.size != 4096 or pixels.shape[-1:] != (3,):
+        raise ValueError("sbox_words needs a 4096-entry table and (..., 3) pixels")
+    out = np.empty(pixels.shape[:-1], dtype=np.uint32)
+    kernel.sbox_words(table.ctypes.data, pixels.ctypes.data, out.size, out.ctypes.data)
+    return out
 
 
 def sbox_words(table: np.ndarray, pixels: np.ndarray) -> np.ndarray:
@@ -219,10 +220,10 @@ def sbox_words(table: np.ndarray, pixels: np.ndarray) -> np.ndarray:
     pixel whose first three memory bytes are its output bytes and whose
     fourth is 0: the table at the high nibbles, shifted by 4, OR the table
     at the low nibbles.  Runs in the compiled kernel library where it
-    loaded (keystream.orbit_backend), else in numpy."""
-    kernel = keystream._native_kernel()[0]
+    loaded (core.orbit_backend), else in numpy."""
+    kernel = core.native_kernel()
     if kernel is not None:
-        return kernel.sbox_words(table, pixels)
+        return _native_sbox_words(kernel, table, pixels)
     r, g, b = np.moveaxis(pixels, -1, 0)
     r = r.astype(np.uint16)
     words = table.take(r << 4 & 0xF00 | g & 0xF0 | b >> 4)
@@ -231,12 +232,31 @@ def sbox_words(table: np.ndarray, pixels: np.ndarray) -> np.ndarray:
     return words
 
 
+def _native_apply_sbox(kernel, table: np.ndarray, pixels: np.ndarray, masks: np.ndarray,
+                       inverse: bool) -> np.ndarray:
+    table = np.ascontiguousarray(table, dtype=np.uint32)
+    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
+    masks = np.ascontiguousarray(masks, dtype=np.uint8)
+    # the C loop trusts these sizes
+    if table.size != 4096 or pixels.shape != (masks.size, 3):
+        raise ValueError("apply_sbox needs a 4096-entry table, (L, 3) pixels and L masks")
+    out = np.empty_like(pixels)
+    kernel.sbox_pixels(table.ctypes.data, pixels.ctypes.data, masks.ctypes.data, masks.size,
+                       inverse, out.ctypes.data)
+    return out
+
+
 def apply_sbox(table: np.ndarray, pixels: np.ndarray, masks: np.ndarray, *,
                inverse: bool = False) -> np.ndarray:
     """The cipher kernel: each pixel's bytes through the S-box `table`, then
     XOR with its mask byte in every channel; with `inverse`, the XOR comes
-    first.  `pixels` has shape (L, 3) and `masks` L entries.  Runs in pixel
-    passes of PASS_POSITIONS // 4."""
+    first.  `pixels` has shape (L, 3) and `masks` L entries.  Runs in the
+    pixel loop of the compiled kernel library where it loaded, in one call
+    that writes the output bytes; else in numpy, in pixel passes of
+    PASS_POSITIONS // 4."""
+    kernel = core.native_kernel()
+    if kernel is not None:
+        return _native_apply_sbox(kernel, table, pixels, masks, inverse)
     out = np.empty_like(pixels)
     step = max(1, PASS_POSITIONS // 4)
     for s in range(0, len(pixels), step):

@@ -6,36 +6,19 @@ Exit codes: 0 success, 1 malformed input, 2 attack witness failure,
 contain no timestamps, so identical inputs give byte-identical files.
 """
 
+# `encrypt` and `decrypt` run bytes in, bytes out on the numpy-free `core`
+# wherever the kernel library loads, and through the numpy `cipher` exactly
+# where it does not (`core.orbit_backend()` then says "python: ..."); every
+# other command imports its numpy modules when it runs.
+
 from __future__ import annotations
 
 import argparse
 import os
 import sys
 
-import numpy as np
-
-from .analysis import (
-    format_avalanche_report,
-    format_key_leak_report,
-    measure_avalanche,
-    measure_wrong_key_leak,
-)
-from .attack import (
-    AttackReport,
-    eqkey_from_bytes,
-    eqkey_to_bytes,
-    equivalent_decrypt,
-    recover_equivalent_key,
-)
-from .cipher import RgbImage, decrypt, encrypt
-from .keystream import (
-    KeystreamDegenerationError,
-    SecretKey,
-    format_key_text,
-    parse_key_text,
-    random_key,
-)
-from .ppm import read_ppm, write_ppm
+from . import core
+from .core import KeystreamDegenerationError, SecretKey, parse_key_text
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -65,7 +48,7 @@ def _read_bytes(path: str) -> bytes:
         raise CliError(f"cannot read {path}: {err}", EXIT_IO) from err
 
 
-def _write_atomic(path: str, data: bytes, mode: int = 0o666) -> None:
+def _write_atomic(path: str, data: bytes | bytearray, mode: int = 0o666) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     # os.urandom rather than secrets, which would import hashlib on every command
     tmp = os.path.join(directory, f".tmp-dnacipher-{os.urandom(8).hex()}")
@@ -93,14 +76,22 @@ def _load_key(path: str) -> SecretKey:
         raise CliError(f"bad key file {path}: {err}", EXIT_BAD_INPUT) from err
 
 
-def _load_image(path: str) -> RgbImage:
+def _parse_image(path: str, parse, data: bytes):
+    """`parse(data)`, the bytes of the image file `path`; its ValueError is
+    a bad image."""
     try:
-        return read_ppm(_read_bytes(path))
+        return parse(data)
     except ValueError as err:
         raise CliError(f"bad image {path}: {err}", EXIT_BAD_INPUT) from err
 
 
-def _attack_report_text(report: AttackReport) -> str:
+def _load_image(path: str):
+    from .ppm import read_ppm
+
+    return _parse_image(path, read_ppm, _read_bytes(path))
+
+
+def _attack_report_text(report) -> str:
     lines = [f"status={'success' if report.recovered else 'failure'}"]
     if report.failure_stage is not None:
         lines.append(f"failure_stage={report.failure_stage.value}")
@@ -122,27 +113,44 @@ def _attack_report_text(report: AttackReport) -> str:
 
 
 def _cmd_keygen(args) -> int:
+    import numpy as np
+
+    from .keystream import random_key
+
     rng = np.random.default_rng(args.seed)
     key = random_key(rng)
-    _write_atomic(args.out, format_key_text(key).encode("utf-8"), 0o600)
+    _write_atomic(args.out, core.format_key_text(key).encode("utf-8"), 0o600)
+    return EXIT_OK
+
+
+def _run_cipher(args, inverse: bool) -> int:
+    key = _load_key(args.key)
+    kernel = core.native_kernel()
+    if kernel is None:
+        from .cipher import decrypt, encrypt
+        from .ppm import write_ppm
+
+        img = _load_image(args.infile)
+        out = write_ppm((decrypt if inverse else encrypt)(img, key))
+    else:
+        data = _read_bytes(args.infile)
+        width, height, offset = _parse_image(args.infile, core.parse_ppm_header, data)
+        out = core.cipher_ppm(kernel, key, data, width, height, offset, inverse=inverse)
+    _write_atomic(args.out, out)
     return EXIT_OK
 
 
 def _cmd_encrypt(args) -> int:
-    key = _load_key(args.key)
-    img = _load_image(args.infile)
-    _write_atomic(args.out, write_ppm(encrypt(img, key)))
-    return EXIT_OK
+    return _run_cipher(args, inverse=False)
 
 
 def _cmd_decrypt(args) -> int:
-    key = _load_key(args.key)
-    img = _load_image(args.infile)
-    _write_atomic(args.out, write_ppm(decrypt(img, key)))
-    return EXIT_OK
+    return _run_cipher(args, inverse=True)
 
 
 def _cmd_attack(args) -> int:
+    from .attack import eqkey_to_bytes, recover_equivalent_key
+
     plain = _load_image(args.plain)
     cipher = _load_image(args.cipher)
     report = recover_equivalent_key(plain, cipher)
@@ -157,6 +165,9 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_eqdecrypt(args) -> int:
+    from .attack import eqkey_from_bytes, equivalent_decrypt
+    from .ppm import write_ppm
+
     try:
         ek = eqkey_from_bytes(_read_bytes(args.eqkey))
     except ValueError as err:
@@ -167,6 +178,8 @@ def _cmd_eqdecrypt(args) -> int:
 
 
 def _cmd_avalanche(args) -> int:
+    from .analysis import format_avalanche_report, measure_avalanche
+
     key = _load_key(args.key)
     img = _load_image(args.infile)
     if args.trials < 1:
@@ -177,6 +190,9 @@ def _cmd_avalanche(args) -> int:
 
 
 def _cmd_keyleak(args) -> int:
+    from .analysis import format_key_leak_report, measure_wrong_key_leak
+    from .cipher import encrypt
+
     true_key = _load_key(args.truekey)
     wrong_key = _load_key(args.wrongkey)
     plain = _load_image(args.plain)

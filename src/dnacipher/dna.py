@@ -4,50 +4,19 @@ digits of every byte, the eight digit<->base map rules and base addition.
 Everything here is a pure function over small immutable lookup tables, so the
 module is safe for unrestricted concurrent use.  Internally bases are indexed
 A=0, C=1, G=2, T=3; this ordering is an implementation detail and never
-appears in any file format (files carry rule indices and digits only).
+appears in any file format (files carry rule indices and digits only).  The
+rules and base addition are transcribed once, in the numpy-free `core`
+(with `Base` and `check_rule`); the arrays here are built from its rows.
 """
 
 from __future__ import annotations
 
 import operator
-from enum import Enum, IntEnum
+from enum import Enum
 
 import numpy as np
 
-
-class Base(IntEnum):
-    A = 0
-    C = 1
-    G = 2
-    T = 3
-
-
-# The eight map rules, transcribed literally: string position = digit,
-# character = base.  Every rule pairs complementary bases with digits
-# summing to 3 (Watson-Crick).
-_RULE_STRINGS = (
-    "ACGT",  # rule 1
-    "AGCT",  # rule 2
-    "CATG",  # rule 3
-    "CTAG",  # rule 4
-    "GATC",  # rule 5
-    "GTAC",  # rule 6
-    "TCGA",  # rule 7
-    "TGCA",  # rule 8
-)
-
-# Base addition, transcribed literally with rows/columns in the order
-# A, T, C, G.  Result of `row + column`.
-_ADD_ROWS = {
-    "A": "TGAC",
-    "T": "GCTA",
-    "C": "ATCG",
-    "G": "CAGT",
-}
-
-
-def _code(ch: str) -> int:
-    return Base[ch].value
+from .core import ADD_ROWS, DECODE_ROWS, ENCODE_ROWS, Base, check_rule  # noqa: F401 -- Base re-exported
 
 
 # DIGITS[byte] -> the byte's four base-4 digits, most significant first, digit
@@ -67,20 +36,11 @@ def pack_digits(digits: np.ndarray) -> np.ndarray:
     return out
 
 
-# ENCODE[rule-1, digit] -> base code; DECODE[rule-1, base code] -> digit.
-ENCODE = np.array(
-    [[_code(ch) for ch in rule] for rule in _RULE_STRINGS], dtype=np.uint8
-)
-DECODE = np.zeros((8, 4), dtype=np.uint8)
-for _r in range(8):
-    for _d in range(4):
-        DECODE[_r, ENCODE[_r, _d]] = _d
-
-# ADD[a, b] = a + b on base codes.
-ADD = np.zeros((4, 4), dtype=np.uint8)
-for _row, _entries in _ADD_ROWS.items():
-    for _col, _res in zip("ATCG", _entries):
-        ADD[_code(_row), _code(_col)] = _code(_res)
+# ENCODE[rule-1, digit] -> base code; DECODE[rule-1, base code] -> digit;
+# ADD[a, b] = a + b on base codes: core's rows of the literal transcriptions.
+ENCODE = np.array([list(row) for row in ENCODE_ROWS], dtype=np.uint8)
+DECODE = np.array([list(row) for row in DECODE_ROWS], dtype=np.uint8)
+ADD = np.array([list(row) for row in ADD_ROWS], dtype=np.uint8)
 
 
 class RuleClass(Enum):
@@ -92,13 +52,6 @@ class RuleClass(Enum):
     @property
     def rules(self) -> tuple[int, ...]:
         return self.value
-
-
-def check_rule(rule: int) -> int:
-    rule = operator.index(rule)
-    if not 1 <= rule <= 8:
-        raise ValueError(f"map rule must be in [1, 8], got {rule}")
-    return rule
 
 
 def check_digit(d: int) -> int:

@@ -3,7 +3,7 @@ import shutil
 import numpy as np
 import pytest
 
-from dnacipher import SecretKey, keystream
+from dnacipher import SecretKey, core
 from dnacipher.synth import natural_image
 
 # The fixed experiment keys used throughout: a reference key for the cipher,
@@ -18,23 +18,24 @@ def orbit_cache(tmp_path_factory):
     the user's."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
-        keystream._native_kernel.cache_clear()
+        core._native_kernel.cache_clear()
         yield
-    keystream._native_kernel.cache_clear()
+    core._native_kernel.cache_clear()
 
 
 def force_python_orbit(monkeypatch):
-    """Send logistic_orbit down the Python loop and sbox_words through numpy,
-    the path the package takes wherever the compiled kernel library cannot
-    be used."""
-    monkeypatch.setattr(keystream, "_native_kernel", lambda: (None, "python: forced"))
+    """Send logistic_orbit down the Python loop, the mask bytes and the
+    S-box through numpy, and the CLI's encrypt and decrypt through the numpy
+    cipher: the paths the package takes wherever the compiled kernel library
+    cannot be used."""
+    monkeypatch.setattr(core, "_native_kernel", lambda: (None, "python: forced"))
 
 
 def require_native_orbit():
     """The compiled kernel library must load wherever gcc is on PATH."""
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH: only the Python orbit can run")
-    assert keystream.orbit_backend() == "native"
+    assert core.orbit_backend() == "native"
 
 
 @pytest.fixture

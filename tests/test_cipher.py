@@ -480,6 +480,29 @@ def test_sbox_words_paths_agree(monkeypatch):
         sbox_words(tables[0], pixels[:, :2])
 
 
+def test_apply_sbox_paths_agree(monkeypatch):
+    # the compiled pixel loop against the numpy body, forward and inverse,
+    # on contiguous and strided pixels and masks
+    require_native_orbit()
+    rng = np.random.default_rng(21)
+    pixels = rng.integers(0, 256, (2 * 1031, 3), dtype=np.uint8)
+    masks = rng.integers(0, 256, 2 * 1031, dtype=np.uint8)
+    inputs = [(pixels, masks), (pixels[::2], masks[1::2]), (np.asfortranarray(pixels), masks)]
+    tables = [t for k in [(1, 1), (3, 6), (8, 2)] for t in sbox_tables(*k)]
+    runs = [(t, p, m, i) for t in tables for p, m in inputs for i in (False, True)]
+    native = [apply_sbox(t, p, m, inverse=i) for t, p, m, i in runs]
+    # the compiled loop's own size checks
+    with pytest.raises(ValueError, match="4096-entry table, \\(L, 3\\) pixels and L masks"):
+        apply_sbox(tables[0], pixels, masks[:-1])
+    with pytest.raises(ValueError, match="4096-entry table"):
+        apply_sbox(tables[0][:4095], pixels, masks)
+    force_python_orbit(monkeypatch)
+    for got, (t, p, m, i) in zip(native, runs):
+        want = apply_sbox(t, p, m, inverse=i)
+        assert got.dtype == want.dtype == np.uint8
+        assert np.array_equal(got, want)
+
+
 def test_kernel_pass_size_does_not_change_output(orbit_path, monkeypatch):
     import dnacipher.attack as attack_module
     import dnacipher.cipher as cipher_module

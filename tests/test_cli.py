@@ -15,7 +15,7 @@ from dnacipher.cli import main
 from dnacipher.keystream import format_key_text, parse_key_text
 from dnacipher.synth import constant_image, natural_image
 
-from conftest import TRUE_KEY, WRONG_KEY
+from conftest import TRUE_KEY, WRONG_KEY, force_python_orbit, require_native_orbit
 
 
 @pytest.fixture
@@ -365,3 +365,101 @@ def test_mixed_class_eqkey_is_input_error(workdir, capsys):
     assert err == ("dnacipher: equivalent key mixes rule classes A and B: rule 1 at "
                    "position 0, rule 2 at position 1\n")
     assert not (workdir / "p.ppm").exists()
+
+
+def test_encrypt_and_decrypt_import_no_numpy(workdir, monkeypatch):
+    # on the native path encrypt and decrypt run bytes in, bytes out on the
+    # numpy-free core; forced onto the numpy path, the same commands run the
+    # numpy cipher and give the same bytes
+    require_native_orbit()
+    write_key(workdir / "k.key", TRUE_KEY)
+    write_image(workdir / "p.ppm", natural_image(24, 16, seed=62))
+    src = os.path.dirname(os.path.dirname(dnacipher.__file__))
+    code = (
+        "import sys\n"
+        "from dnacipher.cli import main\n"
+        "k, p, c, d = sys.argv[1:]\n"
+        "assert main(['encrypt', '--key', k, '--in', p, '--out', c]) == 0\n"
+        "assert main(['decrypt', '--key', k, '--in', c, '--out', d]) == 0\n"
+        "from dnacipher import core\n"
+        "assert core.orbit_backend() == 'native'\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    args = [str(workdir / name) for name in ("k.key", "p.ppm", "c.ppm", "d.ppm")]
+    done = subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert (workdir / "d.ppm").read_bytes() == (workdir / "p.ppm").read_bytes()
+
+    from dnacipher import cipher
+
+    ran = []
+
+    def spy(real):
+        def run(*args):
+            ran.append(real.__name__)
+            return real(*args)
+        return run
+
+    for name in ("encrypt", "decrypt"):
+        monkeypatch.setattr(cipher, name, spy(getattr(cipher, name)))
+    force_python_orbit(monkeypatch)
+    run = ["--key", args[0]]
+    assert main(["encrypt", *run, "--in", args[1], "--out", str(workdir / "c2.ppm")]) == 0
+    assert main(["decrypt", *run, "--in", args[2], "--out", str(workdir / "d2.ppm")]) == 0
+    assert ran == ["encrypt", "decrypt"]
+    assert (workdir / "c2.ppm").read_bytes() == (workdir / "c.ppm").read_bytes()
+    assert (workdir / "d2.ppm").read_bytes() == (workdir / "d.ppm").read_bytes()
+
+
+@pytest.fixture(params=["native", "python"])
+def cipher_path(request, monkeypatch):
+    """The path encrypt and decrypt take: bytes through the kernel library,
+    or the numpy cipher."""
+    if request.param == "native":
+        require_native_orbit()
+    else:
+        force_python_orbit(monkeypatch)
+    return request.param
+
+
+ESCAPING_KEY = "k1=1\nk2=1\nx0=0.4999999999417924\nmu0=3.9999999999999996\nx0p=0.3\nmu0p=3.7\n"
+# name -> (key text, image file bytes, exit code, stderr after "dnacipher: ");
+# {key} and {image} stand for the files' paths
+INPUT_ERRORS = {
+    "truncated body": (None, b"P6\n2 2\n255\n" + bytes(11), 1,
+                       "bad image {image}: truncated pixel data: expected 12 bytes, got 11"),
+    "trailing bytes": (None, b"P6\n2 2\n255\n" + bytes(14), 1,
+                       "bad image {image}: 2 trailing bytes after pixel data"),
+    "bad magic": (None, b"P3\n2 2\n255\n" + bytes(12), 1,
+                  "bad image {image}: not a binary PPM (magic b'P3')"),
+    "bad maxval": (None, b"P6\n2 2\n65535\n" + bytes(24), 1,
+                   "bad image {image}: only maxval 255 is supported, got 65535"),
+    "zero width": (None, b"P6\n0 2\n255\n", 1,
+                   "bad image {image}: image dimensions must be positive"),
+    "malformed key": ("k1=1\nk2=9\nx0=0.3\nmu0=3.7\nx0p=0.3\nmu0p=3.7\n", None, 1,
+                      "bad key file {key}: map rule must be in [1, 8], got 9"),
+    "escaping key": (ESCAPING_KEY, None, 1, "orbit escaped (0, 1) at step 1: 1.0"),
+    # the t-orbit escapes at its step 3, the z-orbit not at all
+    "escaping t-orbit": ("k1=1\nk2=1\nx0=0.3\nmu0=3.7\nx0p=0.03806023373878785\n"
+                         "mu0p=3.9999999999999996\n", None, 1,
+                         "orbit escaped (0, 1) at step 3: 1.0"),
+    "missing image": (None, "absent", 3, "input file does not exist: {image}"),
+    "missing key": ("absent", None, 3, "input file does not exist: {key}"),
+}
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_input_errors_are_the_same_on_both_paths(workdir, capsys, cipher_path, command, case):
+    key_text, image, code, message = INPUT_ERRORS[case]
+    key, img, out = workdir / "k.key", workdir / "p.ppm", workdir / "out.ppm"
+    if key_text != "absent":
+        key.write_text(key_text or format_key_text(TRUE_KEY), encoding="utf-8")
+    if image != "absent":
+        img.write_bytes(image or write_ppm(natural_image(4, 4, seed=63)))
+    capsys.readouterr()
+    assert main([command, "--key", str(key), "--in", str(img), "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", f"dnacipher: {message.format(key=key, image=img)}\n")
+    assert not out.exists()
+    assert not [p for p in os.listdir(workdir) if p.startswith(".tmp-")]

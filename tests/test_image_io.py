@@ -1,11 +1,13 @@
 """Binary PPM round-trip and malformed-input tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnacipher import PpmFormatError, RgbImage, ppm, read_ppm, write_ppm
+from dnacipher import PpmFormatError, RgbImage, core, read_ppm, write_ppm
 
 import oracles
 
@@ -133,10 +135,25 @@ _HEADER_BYTES = b" \t\r\n\x0b\x0c#P6512x\x00\xff"
 def test_header_tokens_match_reference_scanner(header, body):
     data = header + body
     for pos in range(len(data) + 1):
-        assert _token_outcome(ppm._next_token, data, pos) == _token_outcome(
+        assert _token_outcome(core._next_token, data, pos) == _token_outcome(
             oracles.next_token_reference, data, pos
         )
     got = _read_outcome(data)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ppm, "_next_token", oracles.next_token_reference)
+        mp.setattr(core, "_next_token", oracles.next_token_reference)
         assert got == _read_outcome(data)
+
+
+def test_read_ppm_copies_the_body_once():
+    # the pixels are copied straight from the file's bytes: one 12 MiB body
+    # at 2048x2048, not a slice of the file and then a copy of that
+    body = 3 * 2048 * 2048
+    data = b"P6\n2048 2048\n255\n" + bytes(body)
+    tracemalloc.start()
+    try:
+        img = read_ppm(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert img.pixels.shape == (2048 * 2048, 3)
+    assert body <= peak < body + (1 << 20), peak

@@ -1,5 +1,6 @@
 """Keystream generation against a high-precision oracle, plus key parsing."""
 
+import ctypes
 import math
 import os
 import platform
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from dnacipher import keystream
+from dnacipher import core, keystream
 from dnacipher.keystream import (
     MU_MAX,
     MU_MIN,
@@ -182,6 +183,60 @@ def test_escape_in_a_later_pass(orbit_path, monkeypatch, positions, x0):
         assert str(got.value) == message, name
 
 
+def _keystream_outcome(key, pixels):
+    try:
+        return keystreams(key, pixels).masks.tobytes()
+    except KeystreamDegenerationError as e:
+        return str(e)
+
+
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+OPEN_MU = st.floats(MU_MIN, MU_MAX, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x0=OPEN_UNIT, mu0=OPEN_MU, x0p=OPEN_UNIT, mu0p=OPEN_MU, pixels=st.integers(1, 13))
+@example(x0=0.5, mu0=3.7, x0p=0.5, mu0p=3.7, pixels=1)
+@example(x0=0.0024076366635449875, mu0=ESCAPE_MU, x0p=0.3, mu0p=3.7, pixels=2)
+@example(x0=0.3, mu0=3.7, x0p=0.0024076366635449875, mu0p=ESCAPE_MU, pixels=5)
+def test_native_mask_bytes_match_the_fallback(x0, mu0, x0p, mu0p, pixels):
+    require_native_orbit()
+    key = SecretKey(1, 1, x0, mu0, x0p, mu0p)
+    native = _keystream_outcome(key, pixels)
+    with pytest.MonkeyPatch.context() as mp:
+        force_python_orbit(mp)
+        assert native == _keystream_outcome(key, pixels)
+
+
+@pytest.mark.parametrize("x0", ESCAPE_STARTS)
+def test_native_mask_loop_reports_the_z_escape_before_the_t_orbit_runs(x0):
+    require_native_orbit()
+    step = ESCAPE_STARTS[x0]
+    keys = {
+        "z": SecretKey(1, 1, x0, ESCAPE_MU, 0.3, 3.7),
+        "t": SecretKey(1, 1, 0.3, 3.7, x0, ESCAPE_MU),
+        "both": SecretKey(1, 1, x0, ESCAPE_MU, 0.4999999999417924, ESCAPE_MU),
+    }
+    for name, key in keys.items():
+        native = _keystream_outcome(key, 5)
+        with pytest.MonkeyPatch.context() as mp:
+            force_python_orbit(mp)
+            assert native == _keystream_outcome(key, 5), name
+        assert native == f"orbit escaped (0, 1) at step {step}: 1.0", name
+    # the loop itself: the z-orbit's escape, and the pixels before it hold
+    # their Z bytes alone; the t-orbit, which escapes at its first step,
+    # never ran
+    key = keys["both"]
+    out = np.full(2, 0xA5, dtype=np.uint8)
+    at, value = ctypes.c_int64(), ctypes.c_double()
+    code = core.native_kernel().mask_bytes(key.x0, key.mu0, key.x0p, key.mu0p, 2,
+                                           out.ctypes.data, ctypes.byref(at), ctypes.byref(value))
+    assert (code, at.value, value.value) == (1, step, 1.0)
+    whole = (step - 1) // 4
+    z = z_sequence(x0, ESCAPE_MU, whole) if whole else np.zeros(0, dtype=np.uint8)
+    assert np.array_equal(out[:whole], _packed_masks(z, np.zeros_like(z)))
+
+
 def _neighbours(v):
     return [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
 
@@ -249,9 +304,9 @@ def test_native_path_never_runs_the_python_orbit(true_key, monkeypatch):
 def fresh_cache(tmp_path, monkeypatch):
     """An empty kernel cache, and no kernel loaded in this process."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    keystream._native_kernel.cache_clear()
+    core._native_kernel.cache_clear()
     yield tmp_path / "cache" / "dnacipher"
-    keystream._native_kernel.cache_clear()
+    core._native_kernel.cache_clear()
 
 
 def assert_python_fallback(capfd, reason):
@@ -268,7 +323,7 @@ def test_kernel_is_built_once_and_reused(fresh_cache, monkeypatch, capfd):
     [lib] = fresh_cache.glob("*.so")
     assert fresh_cache.stat().st_mode & 0o777 == 0o700
     before = lib.stat()
-    keystream._native_kernel.cache_clear()
+    core._native_kernel.cache_clear()
     monkeypatch.setenv("PATH", "")  # a rebuild would now fail
     assert orbit_backend() == "native"
     after = lib.stat()
@@ -298,7 +353,7 @@ def test_fallback_when_cache_is_shared(fresh_cache, capfd):
 
 
 def test_fallback_on_corrupt_cached_library(fresh_cache, capfd):
-    path = keystream._kernel_file(platform.machine())
+    path = core._kernel_file(platform.machine())
     fresh_cache.mkdir(parents=True, mode=0o700)
     with open(path, "wb") as f:
         f.write(os.urandom(4096))
@@ -323,23 +378,64 @@ def sbox_stub(high=HIGH, shift="<< 4", low=LOW):
 WRONG_SBOX = sbox_stub(low="(p[0] & 15) << 8 | (p[2] & 15) << 4 | (p[1] & 15)")
 
 
-def use_stub_kernel(tmp_path, monkeypatch, body, sbox):
+def mask_stub(z_bit="x > 0.5", escape="!(x > 0.0 && x < 1.0)"):
+    """A mask loop with _orbit.c's signature: the z-orbit's digit 3 wherever
+    iterate x has `z_bit`, then the t-orbit's bytes; each orbit returns at
+    its first iterate with `escape`."""
+    return (
+        "int mask_bytes(double x0, double mu0, double x0p, double mu0p, int64_t n,\n"
+        "               uint8_t *out, int64_t *bad_step, double *bad_value)\n"
+        "{ double x = x0;\n"
+        "  for (int64_t i = 0; i < 4 * n; i++) { x = (mu0 * x) * (1.0 - x);\n"
+        f"    if ({escape}) {{ *bad_step = i + 1; *bad_value = x; return 1; }}\n"
+        "    if (i % 4 == 0) out[i / 4] = 0;\n"
+        f"    out[i / 4] |= ({z_bit} ? 3 : 0) << (6 - 2 * (i % 4)); }}\n"
+        "  x = x0p;\n"
+        "  for (int64_t i = 0; i < n; i++) { x = (mu0p * x) * (1.0 - x);\n"
+        f"    if ({escape}) {{ *bad_step = i + 1; *bad_value = x; return 2; }}\n"
+        "    out[i] ^= (uint8_t)(int32_t)(x * 1e5); }\n"
+        "  return 0; }\n"
+    )
+
+
+def pixels_stub(before="inverse ? m[i] : 0", after="inverse ? 0 : m[i]"):
+    """A pixel loop with _orbit.c's signature: each pixel XOR-ed with
+    `before`, through the S-box, then XOR-ed with `after`."""
+    return (
+        "void sbox_pixels(const uint32_t *t, const uint8_t *p, const uint8_t *m, int64_t n,\n"
+        "                 int inverse, uint8_t *out)\n"
+        "{ for (int64_t i = 0; i < n; i++, p += 3, out += 3) {\n"
+        f"    uint8_t b = {before}, a = {after}, bytes[4];\n"
+        "    uint32_t r = p[0] ^ b, g = p[1] ^ b, c = p[2] ^ b;\n"
+        "    uint32_t w = t[(r << 4 & 0xF00) | (g & 0xF0) | c >> 4] << 4\n"
+        "               | t[(r & 15) << 8 | (g & 15) << 4 | (c & 15)];\n"
+        "    memcpy(bytes, &w, 4);\n"
+        "    for (int k = 0; k < 3; k++) out[k] = bytes[k] ^ a; } }\n"
+    )
+
+
+GOOD_MASK, GOOD_PIXELS = mask_stub(), pixels_stub()
+
+
+def use_stub_kernel(tmp_path, monkeypatch, body, sbox, mask=GOOD_MASK, pixels=GOOD_PIXELS):
     """Make the kernel library from a stub source: the orbit loop with step
-    `body`, then `sbox`."""
+    `body`, then the loops `mask`, `sbox` and `pixels`, in the order the
+    loader checks them."""
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
     source = tmp_path / "stub.c"
     source.write_text(
-        "#include <stdint.h>\n"
+        "#include <stdint.h>\n#include <string.h>\n"
         "void logistic_orbit(double x, double mu, int64_t n, double *out)\n"
         f"{{ for (int64_t i = 0; i < n; i++) {{ {body} out[i] = x; }} }}\n"
-        + sbox
+        + mask + sbox + pixels
     )
-    monkeypatch.setattr(keystream, "_KERNEL_SOURCE", str(source))
+    monkeypatch.setattr(core, "_KERNEL_SOURCE", str(source))
 
 
-@pytest.mark.parametrize("body,sbox,reason", [
-    pytest.param(body, sbox, reason, id=f"{body}-{reason}") for body, sbox, reason in [
+@pytest.mark.parametrize("body,sbox,reason,mask,pixels", [
+    pytest.param(body, sbox, reason, GOOD_MASK, GOOD_PIXELS, id=f"{body}-{reason}")
+    for body, sbox, reason in [
         # A different association: the self-check must catch the rounding drift.
         ("x = mu * (x * (1.0 - x));", "", "self-check failed"),
         ("x = (mu * x) * (1.0 - x)", "", "gcc exited with status 1"),  # a syntax error
@@ -348,14 +444,32 @@ def use_stub_kernel(tmp_path, monkeypatch, body, sbox):
         (GOOD_STEP, WRONG_SBOX, "S-box self-check failed"),
     ]
 ] + [
-    pytest.param(GOOD_STEP, sbox, "S-box self-check failed", id=f"S-box loop {name}")
+    pytest.param(GOOD_STEP, sbox, "S-box self-check failed", GOOD_MASK, GOOD_PIXELS,
+                 id=f"S-box loop {name}")
     for name, sbox in [
         ("without the shift", sbox_stub(shift="")),
         ("with high and low swapped", sbox_stub(high=LOW, low=HIGH)),
     ]
+] + [
+    pytest.param(GOOD_STEP, sbox_stub(), reason, mask, pixels, id=name)
+    for name, mask, pixels, reason in [
+        ("no mask loop", "", GOOD_PIXELS, "has no mask_bytes"),
+        # the self-check's fixed point 0.5 must give z bits 0
+        ("mask loop with >= 0.5", mask_stub(z_bit="x >= 0.5"), GOOD_PIXELS,
+         "mask self-check failed"),
+        ("mask loop that misses an escape to 1.0", mask_stub(escape="!(x > 0.0 && x <= 1.0)"),
+         GOOD_PIXELS, "mask self-check failed"),
+        ("no pixel loop", GOOD_MASK, "", "has no sbox_pixels"),
+        ("pixel loop XORs on the wrong side",
+         GOOD_MASK, pixels_stub(before="inverse ? 0 : m[i]", after="inverse ? m[i] : 0"),
+         "pixel-loop self-check failed"),
+        ("pixel loop XORs only when encrypting",
+         GOOD_MASK, pixels_stub(before="0"), "pixel-loop self-check failed (inverse)"),
+    ]
 ])
-def test_fallback_on_bad_kernel(fresh_cache, tmp_path, monkeypatch, capfd, body, sbox, reason):
-    use_stub_kernel(tmp_path, monkeypatch, body, sbox)
+def test_fallback_on_bad_kernel(fresh_cache, tmp_path, monkeypatch, capfd, body, sbox, reason,
+                                mask, pixels):
+    use_stub_kernel(tmp_path, monkeypatch, body, sbox, mask, pixels)
     assert_python_fallback(capfd, reason)
 
 
@@ -380,8 +494,8 @@ def test_import_loads_no_kernel(tmp_path):
     env = dict(os.environ, PYTHONPATH=src, XDG_CACHE_HOME=str(tmp_path))
     code = (
         "import sys, dnacipher.cli\n"
-        "from dnacipher import keystream\n"
-        "assert keystream._native_kernel.cache_info().currsize == 0\n"
+        "from dnacipher import core\n"
+        "assert core._native_kernel.cache_info().currsize == 0\n"
         "assert 'subprocess' not in sys.modules\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
