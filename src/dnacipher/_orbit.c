@@ -1,27 +1,17 @@
 /* dnacipher's compiled kernel library, compiled on first use and loaded
- * through ctypes by dnacipher.core; the package uses it only if all four
- * loops load and pass their self-checks.
- *   logistic_orbit  the orbit of dnacipher.keystream.logistic_orbit;
- *   mask_bytes      a key's L mask bytes M = T ^ Z straight from its two
- *                   orbits (dnacipher.keystream.keystreams);
- *   sbox_words      the S-box word of each pixel (dnacipher.cipher.sbox_words);
- *   sbox_pixels     the cipher on pixel bytes: S-box and mask byte
- *                   (dnacipher.cipher.apply_sbox, and
- *                   dnacipher.core.cipher_ppm for the CLI's encrypt and
- *                   decrypt, which import no numpy).
+ * through ctypes by dnacipher.core; the package uses it only if both loops
+ * load and pass their self-checks.  They are the two loops the cipher runs:
+ *   mask_bytes   a key's L mask bytes M = T ^ Z straight from its two
+ *                orbits (dnacipher.keystream.keystreams);
+ *   sbox_pixels  the cipher on pixel bytes: S-box and mask byte
+ *                (dnacipher.cipher.apply_sbox, and dnacipher.core.cipher_ppm
+ *                for the CLI's encrypt and decrypt, which import no numpy).
  * Build with -ffp-contract=off: a product fused with the subtraction that
  * uses it (one step's x feeds the next step's 1.0 - x) rounds once instead
- * of twice, and the loops must match the binary64 Python loop bit for bit. */
+ * of twice, and the mask loop must match the binary64 Python loop bit for
+ * bit. */
 #include <stdint.h>
 #include <string.h>
-
-void logistic_orbit(double x, double mu, int64_t n, double *out)
-{
-    for (int64_t i = 0; i < n; i++) {
-        x = (mu * x) * (1.0 - x);
-        out[i] = x;
-    }
-}
 
 /* The z-orbit to its end first, 4 iterates per pixel, each bit above 0.5
  * the digit 3 in its place, most significant first; then the t-orbit, one
@@ -59,31 +49,18 @@ int mask_bytes(double x0, double mu0, double x0p, double mu0p, int64_t n,
     return 0;
 }
 
-/* The S-box word of pixel (r, g, b): the 4096-entry table at its high
- * nibbles r<<8 | g<<4 | b, shifted by 4, OR-ed with the table at its low
- * nibbles.  Its first three memory bytes are the output bytes. */
-static inline uint32_t sbox_word(const uint32_t *table, uint32_t r, uint32_t g, uint32_t b)
-{
-    return table[(r << 4 & 0xF00) | (g & 0xF0) | b >> 4] << 4
-         | table[(r & 15) << 8 | (g & 15) << 4 | (b & 15)];
-}
-
-void sbox_words(const uint32_t *table, const uint8_t *pixels, int64_t n,
-                uint32_t *out)
-{
-    for (int64_t i = 0; i < n; i++, pixels += 3)
-        out[i] = sbox_word(table, pixels[0], pixels[1], pixels[2]);
-}
-
-/* Three output bytes per pixel: the S-box word's bytes, then XOR with the
- * pixel's mask byte; with `inverse`, the XOR comes first. */
+/* Three output bytes per pixel (r, g, b): the 4096-entry table at the high
+ * nibbles r<<8 | g<<4 | b, shifted by 4, OR-ed with the table at the low
+ * nibbles, whose first three memory bytes are the S-box's bytes; then XOR
+ * with the pixel's mask byte.  With `inverse`, the XOR comes first. */
 void sbox_pixels(const uint32_t *table, const uint8_t *pixels, const uint8_t *masks,
                  int64_t n, int inverse, uint8_t *out)
 {
     for (int64_t i = 0; i < n; i++, pixels += 3, out += 3) {
         uint8_t before = inverse ? masks[i] : 0, after = inverse ? 0 : masks[i];
-        uint32_t word = sbox_word(table, pixels[0] ^ before, pixels[1] ^ before,
-                                  pixels[2] ^ before);
+        uint32_t r = pixels[0] ^ before, g = pixels[1] ^ before, b = pixels[2] ^ before;
+        uint32_t word = table[(r << 4 & 0xF00) | (g & 0xF0) | b >> 4] << 4
+                      | table[(r & 15) << 8 | (g & 15) << 4 | (b & 15)];
         uint8_t bytes[4];
         memcpy(bytes, &word, 4);
         out[0] = bytes[0] ^ after;

@@ -3,9 +3,9 @@
 Single-bit plaintext flips never escape the flipped pixel's four-digit block
 (no diffusion), a wrong key still decrypts to visually correlated channels,
 and equal g/b cipher digits leak plaintext structure key-independently.
-The avalanche re-encrypts through the cipher's own S-box kernel
-(`cipher.sbox_words`) and counts changed digits and bits per changed byte
-with two tables read from dna.DIGITS.
+The avalanche re-encrypts through the cipher's own kernel
+(`cipher.apply_sbox`, with the key's mask bytes) and counts changed digits
+and bits per changed byte with two tables read from dna.DIGITS.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import numpy as np
 from .cipher import (
     EQUAL_GB,
     RgbImage,
+    apply_sbox,
     decrypt,
     images_per_pass,
     pack_triples,
     sbox_tables,
-    sbox_words,
 )
 from .dna import DIGITS
 from .keystream import SecretKey, keystreams
@@ -62,38 +62,36 @@ def measure_avalanche(
 
     The (pixel, channel, bit) flips are drawn one scalar at a time in trial
     order.  Flipped images are re-encrypted in full through the cipher's
-    S-box kernel, as many per kernel pass as `images_per_pass` allows, and
-    the report fields are per-trial reductions over the changed pixels.
+    kernel, S-box and mask bytes, as many per call as `images_per_pass`
+    allows, and the report fields are per-trial reductions over the changed
+    cipher bytes.
     Locality violations count trials where any changed digit lies outside
     the flipped pixel; per-channel footprints track the worst digit and bit
     change counts keyed by the flipped channel.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    # Every cipher pixel is the S-box's word XOR its mask byte in each
-    # channel, so the masks cancel in each diff and only the S-box runs.
-    # The mask bytes are still made, so that a key whose orbit escapes is
-    # refused here as by encrypt.
-    keystreams(key, img.pixel_count)
+    L = img.pixel_count
+    masks = keystreams(key, L).masks
     table = sbox_tables(key.k1, key.k2)[0]
-    baseline = sbox_words(table, img.pixels)
+    baseline = apply_sbox(table, img.pixels, masks).reshape(-1)
     rng = np.random.default_rng(seed)
-    draws = [(rng.integers(img.pixel_count), rng.integers(3), rng.integers(8))
-             for _ in range(trials)]
+    draws = [(rng.integers(L), rng.integers(3), rng.integers(8)) for _ in range(trials)]
     pixel, channel, bit = np.array(draws, dtype=np.int64).T
     digits, bits, outside = np.zeros((3, trials), dtype=np.int64)
-    chunk = images_per_pass(img.pixel_count)
+    chunk = images_per_pass(L)
+    tiled = np.tile(masks, min(chunk, trials))
     for s in range(0, trials, chunk):
         n = min(chunk, trials - s)
         batch = np.repeat(img.pixels[None], n, axis=0)
         trial = slice(s, s + n)
         batch[np.arange(n), pixel[trial], channel[trial]] ^= (1 << bit[trial]).astype(np.uint8)
-        words = sbox_words(table, batch)
-        rows, pixels = np.divmod(np.flatnonzero(words != baseline), words.shape[1])
-        changed = (words[rows, pixels] ^ baseline[pixels]).view(np.uint8).reshape(-1, 4)
-        np.add.at(digits, s + rows, _CHANGED_DIGITS[changed].sum(axis=1))
-        np.add.at(bits, s + rows, _CHANGED_BITS[changed].sum(axis=1))
-        np.add.at(outside, s + rows, pixels != pixel[s + rows])
+        out = apply_sbox(table, batch.reshape(-1, 3), tiled[:n * L]).reshape(n, 3 * L)
+        rows, cols = np.divmod(np.flatnonzero(out != baseline), 3 * L)
+        changed = out[rows, cols] ^ baseline[cols]
+        np.add.at(digits, s + rows, _CHANGED_DIGITS[changed])
+        np.add.at(bits, s + rows, _CHANGED_BITS[changed])
+        np.add.at(outside, s + rows, cols // 3 != pixel[s + rows])
 
     footprint = {
         name: (

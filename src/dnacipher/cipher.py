@@ -16,15 +16,15 @@ F = ENCRYPT_TABLES[k1 - 1, k2 - 1] to each of its four digit triples,
 followed by XOR of every channel byte with the pixel's mask byte M, whose
 four digits are the pixel's m_i (keystream.Keystreams).  S is read as one
 4096-entry table over (r, g, b) nibble triples (`sbox_tables`) at a pixel's
-high nibbles, shifted by 4, and at its low nibbles.  Where the compiled
-kernel library loads (`core.orbit_backend()`), `apply_sbox` runs its pixel
-loop, which does the lookups and the mask XOR (after them to encrypt, before
-the inverse table to decrypt) and writes 3 bytes per pixel, and
-`sbox_words` its word loop; the command line's `encrypt` and `decrypt` call
-the same pixel loop on the file's bytes (`core.cipher_ppm`), without numpy.
-Elsewhere both run in numpy, in passes of PASS_POSITIONS // 4 pixels, and
-the numpy bodies are the loops' test oracle.  The avalanche in analysis
-calls `sbox_words` on whole batches of flipped images.
+high nibbles, shifted by 4, and at its low nibbles.  `apply_sbox` is the one
+function that applies S to pixels.  Where the compiled kernel library loads
+(`core.orbit_backend()`), it runs the library's pixel loop, which does the
+lookups and the mask XOR (after them to encrypt, before the inverse table to
+decrypt) and writes 3 bytes per pixel; the command line's `encrypt` and
+`decrypt` call the same loop on the file's bytes (`core.cipher_ppm`),
+without numpy.  Elsewhere it runs in numpy, in passes of PASS_POSITIONS // 4
+pixels, and the numpy body is the loop's test oracle.  The avalanche in
+analysis calls `apply_sbox` on whole batches of flipped images.
 
 Steps (a)-(b) (encode under k1, chained addition), followed by decoding
 under a rule h, are derived once, in `core.rule_row(k1, h)`, the row
@@ -204,60 +204,9 @@ def sbox_tables(k1: int, k2: int) -> tuple[np.ndarray, np.ndarray]:
     return table(ENCRYPT_TABLES[k1 - 1, k2 - 1]), table(DECRYPT_TABLES[k1 - 1, k2 - 1])
 
 
-def _native_sbox_words(kernel, table: np.ndarray, pixels: np.ndarray) -> np.ndarray:
-    table = np.ascontiguousarray(table, dtype=np.uint32)
-    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
-    # the C loop trusts these sizes
-    if table.size != 4096 or pixels.shape[-1:] != (3,):
-        raise ValueError("sbox_words needs a 4096-entry table and (..., 3) pixels")
-    out = np.empty(pixels.shape[:-1], dtype=np.uint32)
-    kernel.sbox_words(table.ctypes.data, pixels.ctypes.data, out.size, out.ctypes.data)
-    return out
-
-
-def sbox_words(table: np.ndarray, pixels: np.ndarray) -> np.ndarray:
-    """The S-box `table` on byte `pixels` of shape (..., 3): one uint32 per
-    pixel whose first three memory bytes are its output bytes and whose
-    fourth is 0: the table at the high nibbles, shifted by 4, OR the table
-    at the low nibbles.  Runs in the compiled kernel library where it
-    loaded (core.orbit_backend), else in numpy."""
-    kernel = core.native_kernel()
-    if kernel is not None:
-        return _native_sbox_words(kernel, table, pixels)
-    r, g, b = np.moveaxis(pixels, -1, 0)
-    r = r.astype(np.uint16)
-    words = table.take(r << 4 & 0xF00 | g & 0xF0 | b >> 4)
-    words <<= 4
-    words |= table.take((r & 15) << 8 | (g & 15) << 4 | b & 15)
-    return words
-
-
-def _native_apply_sbox(kernel, table: np.ndarray, pixels: np.ndarray, masks: np.ndarray,
-                       inverse: bool) -> np.ndarray:
-    table = np.ascontiguousarray(table, dtype=np.uint32)
-    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
-    masks = np.ascontiguousarray(masks, dtype=np.uint8)
-    # the C loop trusts these sizes
-    if table.size != 4096 or pixels.shape != (masks.size, 3):
-        raise ValueError("apply_sbox needs a 4096-entry table, (L, 3) pixels and L masks")
-    out = np.empty_like(pixels)
-    kernel.sbox_pixels(table.ctypes.data, pixels.ctypes.data, masks.ctypes.data, masks.size,
-                       inverse, out.ctypes.data)
-    return out
-
-
-def apply_sbox(table: np.ndarray, pixels: np.ndarray, masks: np.ndarray, *,
-               inverse: bool = False) -> np.ndarray:
-    """The cipher kernel: each pixel's bytes through the S-box `table`, then
-    XOR with its mask byte in every channel; with `inverse`, the XOR comes
-    first.  `pixels` has shape (L, 3) and `masks` L entries.  Runs in the
-    pixel loop of the compiled kernel library where it loaded, in one call
-    that writes the output bytes; else in numpy, in pixel passes of
-    PASS_POSITIONS // 4."""
-    kernel = core.native_kernel()
-    if kernel is not None:
-        return _native_apply_sbox(kernel, table, pixels, masks, inverse)
-    out = np.empty_like(pixels)
+def _numpy_sbox(table: np.ndarray, pixels: np.ndarray, masks: np.ndarray, inverse: bool,
+                out: np.ndarray) -> None:
+    """apply_sbox's numpy body, in pixel passes of PASS_POSITIONS // 4."""
     step = max(1, PASS_POSITIONS // 4)
     for s in range(0, len(pixels), step):
         p = pixels[s:s + step]
@@ -266,10 +215,37 @@ def apply_sbox(table: np.ndarray, pixels: np.ndarray, masks: np.ndarray, *,
             # m repeated per channel: a flat XOR, over twice as fast as a
             # broadcast of m[:, None] over the three channels
             p = p ^ np.repeat(m, 3).reshape(-1, 3)
-        words = sbox_words(table, p)
+        r, g, b = p.T
+        r = r.astype(np.uint16)
+        words = table.take(r << 4 & 0xF00 | g & 0xF0 | b >> 4)
+        words <<= 4
+        words |= table.take((r & 15) << 8 | (g & 15) << 4 | b & 15)
         if not inverse:
             words ^= m * _MASK_SPREAD
         out[s:s + step] = words.view(np.uint8).reshape(-1, 4)[:, :3]
+
+
+def apply_sbox(table: np.ndarray, pixels: np.ndarray, masks: np.ndarray, *,
+               inverse: bool = False) -> np.ndarray:
+    """The cipher kernel: each pixel's bytes through the S-box `table`, then
+    XOR with its mask byte in every channel; with `inverse`, the XOR comes
+    first.  `table` has 4096 entries (one of `sbox_tables`), `pixels` shape
+    (L, 3) and `masks` L entries; anything else raises ValueError.  Runs in
+    the pixel loop of the compiled kernel library where it loaded, in one
+    call that writes the output bytes; else in numpy."""
+    table = np.ascontiguousarray(table, dtype=np.uint32)
+    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
+    masks = np.ascontiguousarray(masks, dtype=np.uint8).reshape(-1)
+    # checked once for both paths: the C loop trusts these sizes
+    if table.size != 4096 or pixels.shape != (masks.size, 3):
+        raise ValueError("apply_sbox needs a 4096-entry table, (L, 3) pixels and L masks")
+    out = np.empty_like(pixels)
+    kernel = core.native_kernel()
+    if kernel is None:
+        _numpy_sbox(table, pixels, masks, inverse, out)
+    else:
+        kernel.sbox_pixels(table.ctypes.data, pixels.ctypes.data, masks.ctypes.data,
+                           masks.size, inverse, out.ctypes.data)
     return out
 
 

@@ -14,14 +14,15 @@ fallback where the library is not used and as the oracle of the tests.
 
 The kernel library (`_orbit.c`) is compiled with gcc on first use, cached per
 user in `$XDG_CACHE_HOME/dnacipher` (or `~/.cache/dnacipher`) and loaded
-through ctypes.  It is used only if its four loops are present and pass
-their self-checks, in this order: the orbit against the Python loop, the
-mask bytes against the Python loops, including a step that lands exactly on
-0.5 and escapes from each orbit, the S-box words and the pixel loop on a
-nibble table whose lookups do not commute with the mask XOR.  Where that is
-not possible (no gcc, an unwritable cache, a failed load or self-check, a
-machine other than x86-64 or aarch64) `orbit_backend()` says why, and every
-caller takes its numpy path.
+through ctypes.  It is used only if its two loops are present and pass
+their self-checks, in this order: the mask bytes against the Python loops,
+including a step that lands exactly on 0.5 and escapes from each orbit, and
+the pixel loop on a nibble table whose lookups do not commute with the mask
+XOR.  Where that is not possible (no gcc, an unwritable cache, a failed load
+or self-check, a machine other than x86-64 or aarch64) `orbit_backend()`
+says why, and every caller takes its numpy path.  The logistic orbit itself
+(`keystream.logistic_orbit`, which no command runs) is always `orbit_steps`,
+on Python floats.
 """
 
 from __future__ import annotations
@@ -290,8 +291,8 @@ def ppm_header(width: int, height: int) -> bytes:
 
 def orbit_steps(x: float, mu: float, n: int):
     """The first n iterates of x -> (mu*x)*(1-x) on Python floats: the
-    fallback orbit, and the reference the compiled loops are checked
-    against when they load."""
+    orbit of `keystream.logistic_orbit` and of the numpy mask bytes, and the
+    reference the compiled mask loop is checked against when it loads."""
     # Unrolled x4: one loop test and one jump per four iterates.
     for _ in range(n >> 2):
         a = (mu * x) * (1.0 - x)
@@ -313,12 +314,11 @@ _KERNEL_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # Machines whose C doubles are plain binary64 (SSE2 or NEON); x87 excess
 # precision would not match the Python loop.
 _KERNEL_MACHINES = frozenset({"x86_64", "aarch64", "arm64"})
-# The self-check orbit: a chaotic one, so any rounding difference shows.
-_CHECK_X0, _CHECK_MU, _CHECK_STEPS = 0.3, 3.9999999, 1024
 # Self-check keys of the mask loop, (x0, mu0, x0p, mu0p, pixels): two chaotic
-# orbits; the fixed point 0.5 of mu = 2, whose z bits are all 0 (bits are
-# set above 0.5 only); and starts under mu just below 4 whose orbit reaches
-# 1.0 at step 5, in the z-orbit and in the t-orbit.
+# orbits, so any rounding difference shows; the fixed point 0.5 of mu = 2,
+# whose z bits are all 0 (bits are set above 0.5 only); and starts under mu
+# just below 4 whose orbit reaches 1.0 at step 5, in the z-orbit and in the
+# t-orbit.
 _ESCAPING_X0, _ESCAPING_MU = 0.0024076366635449875, 3.9999999999999996
 _CHECK_MASK_KEYS = (
     (0.3, 3.9999999, 0.7, 3.99, 256),
@@ -333,16 +333,14 @@ class _NoKernel(Exception):
     orbit_backend()."""
 
 
-# The library's four loops, as typed ctypes functions that take buffer
+# The library's two loops, as typed ctypes functions that take buffer
 # addresses (see _orbit.c):
-#   orbit(x0, mu, n, out)                         n float64 iterates
 #   mask_bytes(x0, mu0, x0p, mu0p, n, out, &step, &value)
 #                                                 n mask bytes; 0, or 1/2
 #                                                 for an escaping z/t-orbit
-#   sbox_words(table, pixels, n, out)             n uint32 S-box words
 #   sbox_pixels(table, pixels, masks, n, inverse, out)
 #                                                 3n cipher bytes
-_Kernel = collections.namedtuple("_Kernel", "orbit mask_bytes sbox_words sbox_pixels")
+_Kernel = collections.namedtuple("_Kernel", "mask_bytes sbox_pixels")
 
 
 def _kernel_file(machine: str) -> str:
@@ -430,17 +428,6 @@ def _nibble_planes(nibbles: bytes) -> tuple[bytes, bytes, bytes]:
             nibbles * 256)
 
 
-def _check_orbit(orbit) -> None:
-    got = array("d", bytes(8 * _CHECK_STEPS))
-    orbit(_CHECK_X0, _CHECK_MU, _CHECK_STEPS, got.buffer_info()[0])
-    want = array("d", orbit_steps(_CHECK_X0, _CHECK_MU, _CHECK_STEPS))
-    if got != want:
-        step = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b) + 1
-        raise _NoKernel(
-            f"self-check failed: the kernel differs from the Python loop at step {step}"
-        )
-
-
 def _check_mask_bytes(mask_bytes) -> None:
     for key in _CHECK_MASK_KEYS:
         out = bytearray(key[-1])
@@ -451,18 +438,16 @@ def _check_mask_bytes(mask_bytes) -> None:
             raise _NoKernel(f"mask self-check failed for key {key}: got {got!r:.60}")
 
 
-# The S-box self-checks: 4096 pixels, with every high nibble triple once and
-# every low one once in another order (the high triple's nibbles rotated by
-# one channel), so each output shows both indices the loop read; a mask byte
-# per pixel; and a table that adds 1 to each nibble, whose lookups do not
-# commute with the mask XOR, so a pixel loop that XORs on the wrong side
-# fails.  PLUS_ONE is that table on whole bytes.
+# The pixel loop's self-check: 4096 pixels, with every high nibble triple
+# once and every low one once in another order (the high triple's nibbles
+# rotated by one channel), so each output shows both indices the loop read;
+# a mask byte per pixel; and a table that adds 1 to each nibble, whose
+# lookups do not commute with the mask XOR, so a loop that XORs on the wrong
+# side fails.  PLUS_ONE is that table on whole bytes.
 _PLUS_ONE = bytes(((v >> 4) + 1 & 15) << 4 | ((v & 15) + 1 & 15) for v in range(256))
 
 
-@functools.cache
-def _check_inputs() -> tuple[bytes, bytes, bytes]:
-    """The S-box self-checks' table, pixels and mask bytes."""
+def _check_sbox_pixels(sbox_pixels) -> None:
     table = bytearray(4 * 4096)
     for c, plane in enumerate(_nibble_planes(bytes((v + 1) & 15 for v in range(16)))):
         table[c::4] = plane
@@ -472,24 +457,7 @@ def _check_inputs() -> tuple[bytes, bytes, bytes]:
     for c in range(3):
         # high and low nibbles do not overlap, so XOR joins them
         pixels[c::3] = _xor(planes[c].translate(shift), planes[(c + 1) % 3])
-    return bytes(table), bytes(pixels), bytes(range(256)) * 16
-
-
-def _check_sbox_words(sbox_words) -> None:
-    table, pixels, _ = _check_inputs()
-    out = bytearray(4 * 4096)
-    sbox_words(_address(table), _address(pixels), 4096, _address(out))
-    want = bytearray(4 * 4096)
-    for c in range(3):
-        want[c::4] = pixels[c::3].translate(_PLUS_ONE)
-    if out != want:
-        i = next(i for i in range(4096) if out[4 * i:4 * i + 4] != want[4 * i:4 * i + 4])
-        raise _NoKernel(f"S-box self-check failed: pixel {list(pixels[3 * i:3 * i + 3])} "
-                        f"gave bytes {list(out[4 * i:4 * i + 4])}")
-
-
-def _check_sbox_pixels(sbox_pixels) -> None:
-    table, pixels, masks = _check_inputs()
+    masks = bytes(range(256)) * 16
     spread = bytearray(3 * 4096)
     for c in range(3):
         spread[c::3] = masks
@@ -510,18 +478,10 @@ def _check_sbox_pixels(sbox_pixels) -> None:
             )
 
 
-_SELF_CHECKS = {
-    "orbit": _check_orbit,
-    "mask_bytes": _check_mask_bytes,
-    "sbox_words": _check_sbox_words,
-    "sbox_pixels": _check_sbox_pixels,
-}
-
-
 def _load_kernel() -> _Kernel:
     """The compiled kernel library, built on a cache miss.  Each loop is
-    looked up and checked in turn: the orbit, the mask bytes, the S-box
-    words, the pixel loop.  Raises _NoKernel when one cannot be used."""
+    looked up and checked in turn: the mask bytes, then the pixel loop.
+    Raises _NoKernel when one cannot be used."""
     machine = platform.machine()
     if machine not in _KERNEL_MACHINES:
         raise _NoKernel(f"unsupported machine {machine!r}")
@@ -540,17 +500,12 @@ def _load_kernel() -> _Kernel:
         raise _NoKernel(f"{type(e).__name__}: {e}") from None
 
     f64, i64, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
-    signatures = {
-        "orbit": ("logistic_orbit", None, f64, f64, i64, ptr),
-        "mask_bytes": ("mask_bytes", ctypes.c_int, f64, f64, f64, f64, i64, ptr, ptr, ptr),
-        "sbox_words": ("sbox_words", None, ptr, ptr, i64, ptr),
-        "sbox_pixels": ("sbox_pixels", None, ptr, ptr, ptr, i64, ctypes.c_int, ptr),
-    }
-    loops = {}
-    for field, (name, *types) in signatures.items():
-        loops[field] = _symbol(lib, path, name, *types)
-        _SELF_CHECKS[field](loops[field])
-    return _Kernel(**loops)
+    mask_bytes = _symbol(lib, path, "mask_bytes", ctypes.c_int,
+                         f64, f64, f64, f64, i64, ptr, ptr, ptr)
+    _check_mask_bytes(mask_bytes)
+    sbox_pixels = _symbol(lib, path, "sbox_pixels", None, ptr, ptr, ptr, i64, ctypes.c_int, ptr)
+    _check_sbox_pixels(sbox_pixels)
+    return _Kernel(mask_bytes, sbox_pixels)
 
 
 @functools.cache
@@ -570,10 +525,10 @@ def native_kernel() -> _Kernel | None:
 
 def orbit_backend() -> str:
     """Which path the cipher's loops run on: "native" for the compiled
-    kernel library, or "python: <why the library is not used>" for the
-    orbit on Python floats and everything else in numpy.  Loads (and on a
-    cache miss builds) the library if that has not happened yet in this
-    process."""
+    kernel library, or "python: <why the library is not used>" for the mask
+    bytes from the orbit on Python floats and the S-box in numpy.  Loads
+    (and on a cache miss builds) the library if that has not happened yet
+    in this process."""
     return _native_kernel()[1]
 
 

@@ -6,25 +6,25 @@ here.
 All chaotic iteration is IEEE-754 binary64 with the fixed association
 (mu * x) * (1 - x), so ciphertexts are bit-reproducible across platforms.
 Where the package's compiled kernel library loads (`core.orbit_backend()`
-says whether it does), the orbit and the mask bytes run in its C loops on
-the arrays' buffers: `logistic_orbit` in the orbit loop, and `keystreams` in
-the fused mask loop, which runs the z-orbit to its end, then the t-orbit,
-and writes one byte per pixel with no orbit array at all.  Elsewhere the
-orbit is evaluated on Python floats, in a generator unrolled four steps per
-pass (`core.orbit_steps`) that np.fromiter drains, and the mask bytes are
-packed from it in numpy.
+says whether it does), `keystreams` runs in its fused mask loop on the
+output's buffer: the z-orbit to its end, then the t-orbit, one byte per
+pixel with no orbit array at all.  Elsewhere, and for `logistic_orbit`,
+`z_sequence` and `t_sequence` always (no command runs them), the orbit is
+evaluated on Python floats, in a generator unrolled four steps per pass
+(`core.orbit_steps`) that np.fromiter drains, and the mask bytes are packed
+from it in numpy.
 
-On the Python path, and for `logistic_orbit` on both, every orbit is
-computed in passes of at most PASS_POSITIONS iterates, each pass starting
-from the last iterate of the one before; iteration is its own continuation,
-so the bits are those of one long run.  The arguments are checked before the
-first pass, and each pass is checked to stay inside (0, 1) before the next
-one runs; the mask loop checks every iterate.  The mask bytes are the one
-keystream form: `keystreams` turns the two orbits of a key straight into one
-byte per pixel, M = T ^ Z, where T is floor(x * 1e5) mod 256 of the t-orbit
-and Z holds the digit 3 wherever the pixel's z bit is 1, without building
-the 4L digit streams.  `Keystreams(z, t)` packs injected streams into the
-same bytes; `z_sequence` and `t_sequence` give a key's streams themselves.
+Off the mask loop, every orbit is computed in passes of at most
+PASS_POSITIONS iterates, each pass starting from the last iterate of the one
+before; iteration is its own continuation, so the bits are those of one long
+run.  The arguments are checked before the first pass, and each pass is
+checked to stay inside (0, 1) before the next one runs; the mask loop checks
+every iterate.  The mask bytes are the one keystream form: `keystreams`
+turns the two orbits of a key straight into one byte per pixel, M = T ^ Z,
+where T is floor(x * 1e5) mod 256 of the t-orbit and Z holds the digit 3
+wherever the pixel's z bit is 1, without building the 4L digit streams.
+`Keystreams(z, t)` packs injected streams into the same bytes; `z_sequence`
+and `t_sequence` give a key's streams themselves.
 """
 
 from __future__ import annotations
@@ -91,14 +91,8 @@ class Keystreams:
 
 
 def _python_orbit(x0: float, mu: float, n: int) -> np.ndarray:
-    """The orbit on Python floats: the fallback."""
+    """The orbit on Python floats, one pass of it."""
     return np.fromiter(core.orbit_steps(x0, mu, n), dtype=np.float64, count=n)
-
-
-def _native_orbit(x0: float, mu: float, n: int) -> np.ndarray:
-    out = np.empty(n, dtype=np.float64)
-    core.native_kernel().orbit(x0, mu, n, out.ctypes.data)
-    return out
 
 
 def _orbit_passes(x0: float, mu: float, n: int, size: int):
@@ -115,12 +109,11 @@ def _orbit_passes(x0: float, mu: float, n: int, size: int):
     n = operator.index(n)
     if n < 0:
         raise ValueError("orbit length must be non-negative")
-    run = _native_orbit if core.native_kernel() else _python_orbit
     mu = float(mu)
 
     def passes(x):
         for start in range(0, n, size):
-            part = run(x, mu, min(size, n - start))
+            part = _python_orbit(x, mu, min(size, n - start))
             if not (part.min() > 0.0 and part.max() < 1.0):
                 i = int(np.argmax(~((part > 0.0) & (part < 1.0))))
                 raise core.orbit_escape(start + i + 1, float(part[i]))
@@ -134,10 +127,9 @@ def logistic_orbit(x0: float, mu: float, n: int) -> np.ndarray:
     """First n iterates of x -> (mu*x)*(1-x) starting from x0 (x0 itself is
     not emitted, and there is no burn-in discard).
 
-    The orbit runs in the compiled kernel when it is available and in the
-    Python loop otherwise (see `core.orbit_backend`); both are binary64 with
-    the same association and give the same bits.  It is computed and checked in
-    the passes of `_orbit_passes`: if it leaves (0, 1),
+    The orbit runs in the Python loop, in binary64 with the association of
+    the compiled mask loop, so the two give the same bits.  It is computed
+    and checked in the passes of `_orbit_passes`: if it leaves (0, 1),
     KeystreamDegenerationError names the first step outside.  Float
     arithmetic raises nothing past an escape (1.0 maps to 0.0, a fixed
     point), so that step and its value are the ones a per-step check sees.

@@ -24,10 +24,10 @@ def orbit_cache(tmp_path_factory):
 
 
 def force_python_orbit(monkeypatch):
-    """Send logistic_orbit down the Python loop, the mask bytes and the
-    S-box through numpy, and the CLI's encrypt and decrypt through the numpy
-    cipher: the paths the package takes wherever the compiled kernel library
-    cannot be used."""
+    """Send the mask bytes down the Python orbit loop, the S-box through
+    numpy, and the CLI's encrypt and decrypt through the numpy cipher: the
+    paths the package takes wherever the compiled kernel library cannot be
+    used."""
     monkeypatch.setattr(core, "_native_kernel", lambda: (None, "python: forced"))
 
 
@@ -41,8 +41,8 @@ def require_native_orbit():
 @pytest.fixture
 def orbit_path():
     """The kernel path the test runs on: the compiled library here, the
-    Python orbit loop and the numpy S-box where test_orbit_python_path.py
-    overrides this fixture."""
+    numpy mask bytes and S-box where test_orbit_python_path.py overrides
+    this fixture."""
     require_native_orbit()
     return "native"
 

@@ -26,6 +26,7 @@ section holds the byte-at-a-time PPM header scanner, the reference for
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,8 +299,10 @@ for _k1, _h, _p in itertools.product(range(1, 9), range(1, 9), range(64)):
 
 def orbit_reference(x0: float, mu: float, n: int) -> np.ndarray:
     """First n iterates of x -> (mu*x)*(1-x) starting from x0 (x0 itself is
-    not emitted, and there is no burn-in discard)."""
+    not emitted, and there is no burn-in discard).  n is any integer that
+    operator.index accepts."""
     check_logistic_params(x0, mu)
+    n = operator.index(n)
     if n < 0:
         raise ValueError("orbit length must be non-negative")
     out = np.empty(n, dtype=np.float64)

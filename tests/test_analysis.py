@@ -91,10 +91,14 @@ def test_avalanche_counts_violations_of_a_mixing_kernel(monkeypatch, true_key):
 
     img = natural_image(8, 8, seed=44)
     honest = measure_avalanche(img, true_key, trials=60, seed=1)
-    real = analysis.sbox_words
-    monkeypatch.setattr(
-        analysis, "sbox_words", lambda table, pixels: np.roll(real(table, pixels), 1, axis=-1)
-    )
+    real = analysis.apply_sbox
+
+    def mixing(table, pixels, masks):
+        # one pixel along within each 64-pixel image
+        out = real(table, pixels, masks).reshape(-1, img.pixel_count, 3)
+        return np.roll(out, 1, axis=1).reshape(-1, 3)
+
+    monkeypatch.setattr(analysis, "apply_sbox", mixing)
     mixed = measure_avalanche(img, true_key, trials=60, seed=1)
     assert honest.locality_violations == 0
     assert mixed.locality_violations == 60

@@ -32,7 +32,6 @@ from dnacipher.cipher import (
     pack_planes,
     pack_triples,
     sbox_tables,
-    sbox_words,
 )
 from dnacipher.dna import DIGITS, rule_class
 from dnacipher.keystream import keystreams, random_key
@@ -449,9 +448,9 @@ def test_sbox_tables_apply_the_rule_table_digit_by_digit():
 
 
 def test_sbox_words_paths_agree(monkeypatch):
-    # every high and every low nibble triple, as (L, 3), (n, L, 3) and
-    # non-contiguous views, through the forward and inverse tables of all
-    # 64 (k1, k2): the compiled loop against the numpy body
+    # every high and every low nibble triple, as contiguous and strided
+    # pixels, through the forward and inverse tables of all 64 (k1, k2):
+    # the compiled pixel loop's 12-bit word lookups against the numpy body
     require_native_orbit()
     rng = np.random.default_rng(20)
 
@@ -459,30 +458,25 @@ def test_sbox_words_paths_agree(monkeypatch):
         return q[:, None] >> np.array([8, 4, 0]) & 15
 
     pixels = (nibbles(np.arange(4096)) << 4 | nibbles(rng.permutation(4096))).astype(np.uint8)
-    shaped = pixels.reshape(8, 512, 3)
-    views = [pixels, shaped, pixels[::2], shaped[:, ::3]]
+    masks = rng.integers(0, 256, 4096, dtype=np.uint8)
+    views = [(pixels, masks), (pixels[::2], masks[1::2]), (pixels[::3], masks[::3])]
     tables = [t for k in itertools.product(range(1, 9), repeat=2) for t in sbox_tables(*k)]
     # one read-only table per direction
     assert len(tables) == 128
     assert all(t.shape == (4096,) and not t.flags.writeable for t in tables)
-    native = [sbox_words(t, p) for t in tables for p in views]
-    # the compiled loop's own size checks: the calls above ran it
-    with pytest.raises(ValueError, match="4096-entry table and"):
-        sbox_words(tables[0], pixels[:, :2])
-    with pytest.raises(ValueError, match="4096-entry table and"):
-        sbox_words(tables[0][:4095], pixels)
+    runs = [(t, p, m, i) for t in tables for p, m in views for i in (False, True)]
+    native = [apply_sbox(t, p, m, inverse=i) for t, p, m, i in runs]
     force_python_orbit(monkeypatch)
-    for got, want in zip(native, [sbox_words(t, p) for t in tables for p in views]):
-        assert got.dtype == want.dtype == np.uint32
-        assert got.shape == want.shape
+    for got, (t, p, m, i) in zip(native, runs):
+        want = apply_sbox(t, p, m, inverse=i)
+        assert got.dtype == want.dtype == np.uint8
+        assert got.shape == want.shape == p.shape
         assert np.array_equal(got, want)
-    with pytest.raises(ValueError):
-        sbox_words(tables[0], pixels[:, :2])
 
 
 def test_apply_sbox_paths_agree(monkeypatch):
     # the compiled pixel loop against the numpy body, forward and inverse,
-    # on contiguous and strided pixels and masks
+    # on contiguous, strided and Fortran-order pixels and masks
     require_native_orbit()
     rng = np.random.default_rng(21)
     pixels = rng.integers(0, 256, (2 * 1031, 3), dtype=np.uint8)
@@ -490,17 +484,27 @@ def test_apply_sbox_paths_agree(monkeypatch):
     inputs = [(pixels, masks), (pixels[::2], masks[1::2]), (np.asfortranarray(pixels), masks)]
     tables = [t for k in [(1, 1), (3, 6), (8, 2)] for t in sbox_tables(*k)]
     runs = [(t, p, m, i) for t in tables for p, m in inputs for i in (False, True)]
+    # a table one entry short, a mask count off by one, 2-channel pixels;
+    # all-zero pixels never read the missing entry 4095
+    bad = [(tables[0][:4095], pixels, masks), (tables[0][:4095], np.zeros_like(pixels), masks),
+           (tables[0], pixels, masks[:-1]), (tables[0], pixels[:, :2], masks)]
+    message = "^apply_sbox needs a 4096-entry table, \\(L, 3\\) pixels and L masks$"
+
+    def refused():
+        for t, p, m in bad:
+            for i in (False, True):
+                with pytest.raises(ValueError, match=message):
+                    apply_sbox(t, p, m, inverse=i)
+
     native = [apply_sbox(t, p, m, inverse=i) for t, p, m, i in runs]
-    # the compiled loop's own size checks
-    with pytest.raises(ValueError, match="4096-entry table, \\(L, 3\\) pixels and L masks"):
-        apply_sbox(tables[0], pixels, masks[:-1])
-    with pytest.raises(ValueError, match="4096-entry table"):
-        apply_sbox(tables[0][:4095], pixels, masks)
+    refused()
     force_python_orbit(monkeypatch)
     for got, (t, p, m, i) in zip(native, runs):
         want = apply_sbox(t, p, m, inverse=i)
         assert got.dtype == want.dtype == np.uint8
+        assert got.shape == want.shape == p.shape
         assert np.array_equal(got, want)
+    refused()
 
 
 def test_kernel_pass_size_does_not_change_output(orbit_path, monkeypatch):

@@ -14,7 +14,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from dnacipher import core, keystream
+from dnacipher import cipher, core, keystream
+from dnacipher.analysis import measure_avalanche
+from dnacipher.dna import DIGITS
 from dnacipher.keystream import (
     MU_MAX,
     MU_MIN,
@@ -30,6 +32,7 @@ from dnacipher.keystream import (
     t_sequence,
     z_sequence,
 )
+from dnacipher.synth import natural_image
 from conftest import force_python_orbit, require_native_orbit
 from oracles import orbit_reference
 
@@ -256,9 +259,9 @@ HOSTILE_FLOATS = st.one_of(
 )
 
 
-def _orbit_outcome(x0, mu, n):
+def _orbit_outcome(run, x0, mu, n):
     try:
-        return logistic_orbit(x0, mu, n).tobytes()
+        return run(x0, mu, n).tobytes()
     except Exception as e:
         return type(e), str(e)
 
@@ -273,31 +276,37 @@ def _orbit_outcome(x0, mu, n):
 @example(x0=math.nextafter(1.0, 0.0), mu=math.nextafter(MU_MAX, 0.0), n=64)
 @example(x0=0.5, mu=3.7, n=2.5)
 @example(x0=0.5, mu=3.7, n=True)
-@example(x0=np.float32(0.3), mu=np.float32(3.7), n=8)  # binary64 on both paths
+@example(x0=np.float32(0.3), mu=np.float32(3.7), n=8)
 def test_orbit_paths_agree_on_hostile_arguments(x0, mu, n):
-    require_native_orbit()
-    native = _orbit_outcome(x0, mu, n)
-    with pytest.MonkeyPatch.context() as mp:
-        force_python_orbit(mp)
-        python = _orbit_outcome(x0, mu, n)
-    assert native == python
+    # logistic_orbit's passes against the one-step-per-pass reference loop:
+    # the same iterates, or the same error.  logistic_orbit iterates in
+    # binary64 whatever float type it is given, so the reference gets the
+    # arguments as Python floats.
+    def reference(x0, mu, n):
+        return orbit_reference(float(x0), float(mu), n)
+
+    assert _orbit_outcome(logistic_orbit, x0, mu, n) == _orbit_outcome(reference, x0, mu, n)
 
 
 def test_native_path_never_runs_the_python_orbit(true_key, monkeypatch):
-    # loading the library ran the Python loop once, for its self-check;
-    # from then on the orbit and the mask bytes come from the compiled loop
+    # on the native path the mask bytes come from the compiled mask loop, and
+    # the avalanche's S-box from the compiled pixel loop
     require_native_orbit()
+    img = natural_image(16, 16, seed=5)
     with pytest.MonkeyPatch.context() as mp:
         force_python_orbit(mp)
         want = keystreams(true_key, 4099).masks
+        report = measure_avalanche(img, true_key, trials=50, seed=2)
 
-    def refuse(*args):
-        raise AssertionError("the native path ran the Python orbit loop")
+    def refuse(what):
+        def run(*args):
+            raise AssertionError(f"the native path ran {what}")
+        return run
 
-    monkeypatch.setattr(keystream, "_python_orbit", refuse)
-    got = logistic_orbit(0.501, 3.81, 1003)
-    assert got.tobytes() == orbit_reference(0.501, 3.81, 1003).tobytes()
+    monkeypatch.setattr(keystream, "_python_orbit", refuse("the Python orbit loop"))
+    monkeypatch.setattr(cipher, "_numpy_sbox", refuse("the numpy S-box"))
     assert np.array_equal(keystreams(true_key, 4099).masks, want)
+    assert measure_avalanche(img, true_key, trials=50, seed=2) == report
 
 
 @pytest.fixture
@@ -310,9 +319,10 @@ def fresh_cache(tmp_path, monkeypatch):
 
 
 def assert_python_fallback(capfd, reason):
-    got = logistic_orbit(0.501, 3.81, 1003)
-    assert got.tobytes() == keystream._python_orbit(0.501, 3.81, 1003).tobytes()
-    assert got.tobytes() == orbit_reference(0.501, 3.81, 1003).tobytes()
+    key = SecretKey(1, 7, 0.501, 3.81, 0.401, 3.68)
+    z = (orbit_reference(key.x0, key.mu0, 4 * 1003) > 0.5).astype(np.uint8)
+    t_bytes = np.floor(orbit_reference(key.x0p, key.mu0p, 1003) * 1e5).astype(np.int64) % 256
+    assert np.array_equal(keystreams(key, 1003).masks, _packed_masks(z, DIGITS[t_bytes].ravel()))
     backend = orbit_backend()
     assert backend.startswith("python: ") and reason in backend, backend
     assert capfd.readouterr() == ("", "")
@@ -360,123 +370,101 @@ def test_fallback_on_corrupt_cached_library(fresh_cache, capfd):
     assert_python_fallback(capfd, "OSError")
 
 
-GOOD_STEP = "x = (mu * x) * (1.0 - x);"
-HIGH = "(p[0] << 4 & 0xF00) | (p[1] & 0xF0) | p[2] >> 4"
-LOW = "(p[0] & 15) << 8 | (p[1] & 15) << 4 | (p[2] & 15)"
-
-
-def sbox_stub(high=HIGH, shift="<< 4", low=LOW):
-    """An S-box loop with _orbit.c's one-table signature: the table at index
-    `high`, shifted by `shift`, OR the table at index `low`."""
-    return (
-        "void sbox_words(const uint32_t *t, const uint8_t *p, int64_t n, uint32_t *out)\n"
-        f"{{ for (int64_t i = 0; i < n; i++, p += 3) out[i] = t[{high}] {shift} | t[{low}]; }}\n"
-    )
-
-
-# The S-box loop of _orbit.c with the g and b low nibbles swapped.
-WRONG_SBOX = sbox_stub(low="(p[0] & 15) << 8 | (p[2] & 15) << 4 | (p[1] & 15)")
-
-
-def mask_stub(z_bit="x > 0.5", escape="!(x > 0.0 && x < 1.0)"):
+def mask_stub(z_bit="x > 0.5", escape="!(x > 0.0 && x < 1.0)",
+              step="x = ({mu} * x) * (1.0 - x);"):
     """A mask loop with _orbit.c's signature: the z-orbit's digit 3 wherever
-    iterate x has `z_bit`, then the t-orbit's bytes; each orbit returns at
-    its first iterate with `escape`."""
+    iterate x has `z_bit`, then the t-orbit's bytes; each orbit iterates
+    with `step` (its parameter in place of {mu}) and returns at its first
+    iterate with `escape`."""
     return (
         "int mask_bytes(double x0, double mu0, double x0p, double mu0p, int64_t n,\n"
         "               uint8_t *out, int64_t *bad_step, double *bad_value)\n"
         "{ double x = x0;\n"
-        "  for (int64_t i = 0; i < 4 * n; i++) { x = (mu0 * x) * (1.0 - x);\n"
+        f"  for (int64_t i = 0; i < 4 * n; i++) {{ {step.format(mu='mu0')}\n"
         f"    if ({escape}) {{ *bad_step = i + 1; *bad_value = x; return 1; }}\n"
         "    if (i % 4 == 0) out[i / 4] = 0;\n"
         f"    out[i / 4] |= ({z_bit} ? 3 : 0) << (6 - 2 * (i % 4)); }}\n"
         "  x = x0p;\n"
-        "  for (int64_t i = 0; i < n; i++) { x = (mu0p * x) * (1.0 - x);\n"
+        f"  for (int64_t i = 0; i < n; i++) {{ {step.format(mu='mu0p')}\n"
         f"    if ({escape}) {{ *bad_step = i + 1; *bad_value = x; return 2; }}\n"
         "    out[i] ^= (uint8_t)(int32_t)(x * 1e5); }\n"
         "  return 0; }\n"
     )
 
 
-def pixels_stub(before="inverse ? m[i] : 0", after="inverse ? 0 : m[i]"):
-    """A pixel loop with _orbit.c's signature: each pixel XOR-ed with
-    `before`, through the S-box, then XOR-ed with `after`."""
+HIGH = "(r << 4 & 0xF00) | (g & 0xF0) | b >> 4"
+LOW = "(r & 15) << 8 | (g & 15) << 4 | (b & 15)"
+
+
+def pixels_stub(before="inverse ? m[i] : 0", after="inverse ? 0 : m[i]",
+                high=HIGH, shift="<< 4", low=LOW):
+    """A pixel loop with _orbit.c's signature: each pixel (r, g, b) XOR-ed
+    with `before`, through the S-box table at index `high`, shifted by
+    `shift`, OR the table at index `low`, then XOR-ed with `after`."""
     return (
         "void sbox_pixels(const uint32_t *t, const uint8_t *p, const uint8_t *m, int64_t n,\n"
         "                 int inverse, uint8_t *out)\n"
         "{ for (int64_t i = 0; i < n; i++, p += 3, out += 3) {\n"
-        f"    uint8_t b = {before}, a = {after}, bytes[4];\n"
-        "    uint32_t r = p[0] ^ b, g = p[1] ^ b, c = p[2] ^ b;\n"
-        "    uint32_t w = t[(r << 4 & 0xF00) | (g & 0xF0) | c >> 4] << 4\n"
-        "               | t[(r & 15) << 8 | (g & 15) << 4 | (c & 15)];\n"
+        f"    uint8_t xb = {before}, xa = {after}, bytes[4];\n"
+        "    uint32_t r = p[0] ^ xb, g = p[1] ^ xb, b = p[2] ^ xb;\n"
+        f"    uint32_t w = t[{high}] {shift} | t[{low}];\n"
         "    memcpy(bytes, &w, 4);\n"
-        "    for (int k = 0; k < 3; k++) out[k] = bytes[k] ^ a; } }\n"
+        "    for (int k = 0; k < 3; k++) out[k] = bytes[k] ^ xa; } }\n"
     )
 
 
 GOOD_MASK, GOOD_PIXELS = mask_stub(), pixels_stub()
 
 
-def use_stub_kernel(tmp_path, monkeypatch, body, sbox, mask=GOOD_MASK, pixels=GOOD_PIXELS):
-    """Make the kernel library from a stub source: the orbit loop with step
-    `body`, then the loops `mask`, `sbox` and `pixels`, in the order the
-    loader checks them."""
+def use_stub_kernel(tmp_path, monkeypatch, mask=GOOD_MASK, pixels=GOOD_PIXELS):
+    """Make the kernel library from a stub source: the loops `mask` and
+    `pixels`, in the order the loader checks them."""
     if shutil.which("gcc") is None:
         pytest.skip("no gcc on PATH")
     source = tmp_path / "stub.c"
-    source.write_text(
-        "#include <stdint.h>\n#include <string.h>\n"
-        "void logistic_orbit(double x, double mu, int64_t n, double *out)\n"
-        f"{{ for (int64_t i = 0; i < n; i++) {{ {body} out[i] = x; }} }}\n"
-        + mask + sbox + pixels
-    )
+    source.write_text("#include <stdint.h>\n#include <string.h>\n" + mask + pixels)
     monkeypatch.setattr(core, "_KERNEL_SOURCE", str(source))
 
 
-@pytest.mark.parametrize("body,sbox,reason,mask,pixels", [
-    pytest.param(body, sbox, reason, GOOD_MASK, GOOD_PIXELS, id=f"{body}-{reason}")
-    for body, sbox, reason in [
-        # A different association: the self-check must catch the rounding drift.
-        ("x = mu * (x * (1.0 - x));", "", "self-check failed"),
-        ("x = (mu * x) * (1.0 - x)", "", "gcc exited with status 1"),  # a syntax error
-        # A good orbit loop does not make up for a missing or wrong S-box loop.
-        (GOOD_STEP, "", "has no sbox_words"),
-        (GOOD_STEP, WRONG_SBOX, "S-box self-check failed"),
-    ]
-] + [
-    pytest.param(GOOD_STEP, sbox, "S-box self-check failed", GOOD_MASK, GOOD_PIXELS,
-                 id=f"S-box loop {name}")
-    for name, sbox in [
-        ("without the shift", sbox_stub(shift="")),
-        ("with high and low swapped", sbox_stub(high=LOW, low=HIGH)),
-    ]
-] + [
-    pytest.param(GOOD_STEP, sbox_stub(), reason, mask, pixels, id=name)
+@pytest.mark.parametrize("mask,pixels,reason", [
+    pytest.param(mask, pixels, reason, id=name)
     for name, mask, pixels, reason in [
+        # A different association: the self-check must catch the rounding drift.
+        ("mask loop with mu0 * (x * (1.0 - x))", mask_stub(step="x = {mu} * (x * (1.0 - x));"),
+         GOOD_PIXELS, "mask self-check failed"),
+        ("mask loop with a syntax error", mask_stub(step="x = ({mu} * x) * (1.0 - x)"),
+         GOOD_PIXELS, "gcc exited with status 1"),
         ("no mask loop", "", GOOD_PIXELS, "has no mask_bytes"),
         # the self-check's fixed point 0.5 must give z bits 0
         ("mask loop with >= 0.5", mask_stub(z_bit="x >= 0.5"), GOOD_PIXELS,
          "mask self-check failed"),
         ("mask loop that misses an escape to 1.0", mask_stub(escape="!(x > 0.0 && x <= 1.0)"),
          GOOD_PIXELS, "mask self-check failed"),
+        # A good mask loop does not make up for a missing or wrong pixel loop.
         ("no pixel loop", GOOD_MASK, "", "has no sbox_pixels"),
         ("pixel loop XORs on the wrong side",
          GOOD_MASK, pixels_stub(before="inverse ? 0 : m[i]", after="inverse ? m[i] : 0"),
          "pixel-loop self-check failed"),
         ("pixel loop XORs only when encrypting",
          GOOD_MASK, pixels_stub(before="0"), "pixel-loop self-check failed (inverse)"),
+        ("S-box loop without the shift", GOOD_MASK, pixels_stub(shift=""),
+         "pixel-loop self-check failed"),
+        ("S-box loop with high and low swapped", GOOD_MASK, pixels_stub(high=LOW, low=HIGH),
+         "pixel-loop self-check failed"),
+        ("S-box loop with the g and b low nibbles swapped",
+         GOOD_MASK, pixels_stub(low="(r & 15) << 8 | (b & 15) << 4 | (g & 15)"),
+         "pixel-loop self-check failed"),
     ]
 ])
-def test_fallback_on_bad_kernel(fresh_cache, tmp_path, monkeypatch, capfd, body, sbox, reason,
-                                mask, pixels):
-    use_stub_kernel(tmp_path, monkeypatch, body, sbox, mask, pixels)
+def test_fallback_on_bad_kernel(fresh_cache, tmp_path, monkeypatch, capfd, mask, pixels, reason):
+    use_stub_kernel(tmp_path, monkeypatch, mask, pixels)
     assert_python_fallback(capfd, reason)
 
 
 def test_stub_kernel_with_good_loops_loads(fresh_cache, tmp_path, monkeypatch, capfd):
     # the stubs above differ from this one in one place each, so each of
     # their fallbacks is that place's doing
-    use_stub_kernel(tmp_path, monkeypatch, GOOD_STEP, sbox_stub())
+    use_stub_kernel(tmp_path, monkeypatch)
     assert orbit_backend() == "native"
     assert capfd.readouterr() == ("", "")
 

@@ -1,7 +1,7 @@
-"""The orbit tests of test_keystream.py and the S-box kernel tests of
-test_cipher.py and test_analysis.py, run again on the Python orbit loop and
-the numpy S-box: the path the package takes wherever the compiled kernel
-library cannot be used."""
+"""The orbit and keystream tests of test_keystream.py and the S-box kernel
+tests of test_cipher.py and test_analysis.py, run again on the numpy mask
+bytes and the numpy S-box: the path the package takes wherever the compiled
+kernel library cannot be used."""
 
 import pytest
 

@@ -56,8 +56,10 @@ PUBLIC_API = [
 # ENCRYPT_TABLES), the channel-mask rows and row codes that the S-box kernel
 # and the mask bytes replaced, the rule-row kernel and the second
 # mask-byte path that equivalent decryption and `keystreams` no longer need,
-# the packed-triple joiner that `digits_to_image` no longer needs, and the
-# orbit-value helpers folded into `z_sequence` and `t_sequence`; tests check
+# the packed-triple joiner that `digits_to_image` no longer needs, the
+# orbit-value helpers folded into `z_sequence` and `t_sequence`, and the
+# S-box word function folded into `apply_sbox`, which the avalanche runs
+# too; tests check
 # the tables it reads, and tests/oracles.py keeps the independent scalar
 # versions, COMPOSED_TABLE and the base-domain tables.
 REMOVED = [
@@ -88,6 +90,7 @@ REMOVED = [
     "unpack_triples",
     "bits_from_states",
     "mask_digits_from_states",
+    "sbox_words",
 ]
 
 
