@@ -23,7 +23,8 @@ lookups and the mask XOR (after them to encrypt, before the inverse table to
 decrypt) and writes 3 bytes per pixel; the command line's `encrypt` and
 `decrypt` call the same loop on the file's bytes (`core.cipher_ppm`),
 without numpy.  Elsewhere it runs in numpy, in passes of PASS_POSITIONS // 4
-pixels, and the numpy body is the loop's test oracle.  The avalanche in
+pixels, and the numpy body is the loop's test oracle.  PASS_POSITIONS, the
+one pass size of the package, also bounds the attack's table scans.  The avalanche in
 analysis calls `apply_sbox` on whole batches of flipped images.
 
 Steps (a)-(b) (encode under k1, chained addition), followed by decoding
@@ -43,7 +44,13 @@ import numpy as np
 
 from . import core
 from .dna import DIGITS, pack_digits
-from .keystream import PASS_POSITIONS, Keystreams, SecretKey, keystreams
+from .keystream import Keystreams, SecretKey, keystreams
+
+# Digit positions one pass reads: on 64-bit machines their intp indices fill
+# 1 MiB.  The numpy S-box and the attack's table scans run in passes of at
+# most this size, which keeps a pass's temporaries in cache and the memory of
+# the kernel and the attack flat at any image size.
+PASS_POSITIONS = (1 << 20) // np.dtype(np.intp).itemsize
 
 
 def positive_dimensions(width, height, what: str) -> tuple[int, int]:
@@ -52,6 +59,18 @@ def positive_dimensions(width, height, what: str) -> tuple[int, int]:
     if width <= 0 or height <= 0:
         raise ValueError(f"{what} dimensions must be positive")
     return width, height
+
+
+def _byte_values(values, what: str) -> np.ndarray:
+    """`values` as a uint8 array; they must be integers in 0-255."""
+    values = np.asarray(values)
+    if values.dtype != np.uint8:
+        if values.dtype.kind not in "iu":
+            raise ValueError(f"{what} values must be integers, not {values.dtype}")
+        if values.size and not (0 <= values.min() and values.max() <= 255):
+            raise ValueError(f"{what} values must lie in 0-255")
+        values = values.astype(np.uint8)
+    return values
 
 
 @dataclass(eq=False)
@@ -64,14 +83,7 @@ class RgbImage:
 
     def __post_init__(self):
         self.width, self.height = positive_dimensions(self.width, self.height, "image")
-        pixels = np.asarray(self.pixels)
-        if pixels.dtype != np.uint8:
-            if pixels.dtype.kind not in "iu":
-                raise ValueError(f"pixel values must be integers, not {pixels.dtype}")
-            if pixels.size and not (0 <= pixels.min() and pixels.max() <= 255):
-                raise ValueError("pixel values must lie in 0-255")
-            pixels = pixels.astype(np.uint8)
-        self.pixels = pixels
+        self.pixels = _byte_values(self.pixels, "pixel")
         if self.pixels.shape != (self.width * self.height, 3):
             raise ValueError(
                 f"pixel buffer shape {self.pixels.shape} does not match "
@@ -185,6 +197,8 @@ def pack_triples(pixels: np.ndarray) -> np.ndarray:
 # A uint32 whose memory bytes are 1, 1, 1, 0: times a mask byte, the byte in
 # each channel's place of an S-box word.
 _MASK_SPREAD = np.array([1, 1, 1, 0], dtype=np.uint8).view(np.uint32)[0]
+# An S-box word as its first three memory bytes, the output pixel, and a pad.
+_RGB_PAD = np.dtype([("rgb", "V3"), ("pad", "V1")])
 
 
 @functools.cache
@@ -208,6 +222,7 @@ def _numpy_sbox(table: np.ndarray, pixels: np.ndarray, masks: np.ndarray, invers
                 out: np.ndarray) -> None:
     """apply_sbox's numpy body, in pixel passes of PASS_POSITIONS // 4."""
     step = max(1, PASS_POSITIONS // 4)
+    rgb = out.view("V3").reshape(-1)
     for s in range(0, len(pixels), step):
         p = pixels[s:s + step]
         m = masks[s:s + step]
@@ -222,7 +237,8 @@ def _numpy_sbox(table: np.ndarray, pixels: np.ndarray, masks: np.ndarray, invers
         words |= table.take((r & 15) << 8 | (g & 15) << 4 | b & 15)
         if not inverse:
             words ^= m * _MASK_SPREAD
-        out[s:s + step] = words.view(np.uint8).reshape(-1, 4)[:, :3]
+        # each word's first three memory bytes, copied as one item
+        rgb[s:s + step] = words.view(_RGB_PAD)["rgb"]
 
 
 def apply_sbox(table: np.ndarray, pixels: np.ndarray, masks: np.ndarray, *,
@@ -230,12 +246,13 @@ def apply_sbox(table: np.ndarray, pixels: np.ndarray, masks: np.ndarray, *,
     """The cipher kernel: each pixel's bytes through the S-box `table`, then
     XOR with its mask byte in every channel; with `inverse`, the XOR comes
     first.  `table` has 4096 entries (one of `sbox_tables`), `pixels` shape
-    (L, 3) and `masks` L entries; anything else raises ValueError.  Runs in
+    (L, 3) and `masks` L entries, both integers in 0-255 (the rule RgbImage
+    applies); anything else raises ValueError.  Runs in
     the pixel loop of the compiled kernel library where it loaded, in one
     call that writes the output bytes; else in numpy."""
     table = np.ascontiguousarray(table, dtype=np.uint32)
-    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
-    masks = np.ascontiguousarray(masks, dtype=np.uint8).reshape(-1)
+    pixels = np.ascontiguousarray(_byte_values(pixels, "pixel"))
+    masks = np.ascontiguousarray(_byte_values(masks, "mask")).reshape(-1)
     # checked once for both paths: the C loop trusts these sizes
     if table.size != 4096 or pixels.shape != (masks.size, 3):
         raise ValueError("apply_sbox needs a 4096-entry table, (L, 3) pixels and L masks")

@@ -9,18 +9,23 @@ loads: the command reads the key and the file, checks the header, and hands
 the pixel bytes to two C loops, one for the key's mask bytes and one for the
 S-box and the mask XOR, which write the output file's body in place.  The
 numpy modules (`keystream`, `cipher`, `ppm`, `dna`) build their tables and
-their native paths on what is defined here, and keep the numpy bodies as the
-fallback where the library is not used and as the oracle of the tests.
+their native paths on what is defined here.
+
+The mask bytes have one definition in Python, `_python_mask_bytes`, a
+line-for-line twin of the C mask loop; `key_mask_bytes` runs the C loop
+where the library loaded and the twin everywhere else, for the CLI and for
+`keystream.keystreams` alike.  The S-box keeps its numpy body in `cipher`
+as the fallback and the oracle of the tests.
 
 The kernel library (`_orbit.c`) is compiled with gcc on first use, cached per
 user in `$XDG_CACHE_HOME/dnacipher` (or `~/.cache/dnacipher`) and loaded
 through ctypes.  It is used only if its two loops are present and pass
-their self-checks, in this order: the mask bytes against the Python loops,
+their self-checks, in this order: the mask bytes against their Python twin,
 including a step that lands exactly on 0.5 and escapes from each orbit, and
 the pixel loop on a nibble table whose lookups do not commute with the mask
 XOR.  Where that is not possible (no gcc, an unwritable cache, a failed load
 or self-check, a machine other than x86-64 or aarch64) `orbit_backend()`
-says why, and every caller takes its numpy path.  The logistic orbit itself
+says why, and every caller takes its Python path.  The logistic orbit itself
 (`keystream.logistic_orbit`, which no command runs) is always `orbit_steps`,
 on Python floats.
 """
@@ -291,8 +296,9 @@ def ppm_header(width: int, height: int) -> bytes:
 
 def orbit_steps(x: float, mu: float, n: int):
     """The first n iterates of x -> (mu*x)*(1-x) on Python floats: the
-    orbit of `keystream.logistic_orbit` and of the numpy mask bytes, and the
-    reference the compiled mask loop is checked against when it loads."""
+    orbit of `keystream.logistic_orbit`, and so of `z_sequence` and
+    `t_sequence`.  The mask bytes iterate in their own loop
+    (`_python_mask_bytes`), with the same association."""
     # Unrolled x4: one loop test and one jump per four iterates.
     for _ in range(n >> 2):
         a = (mu * x) * (1.0 - x)
@@ -405,19 +411,27 @@ def _xor(a: bytes, b: bytes) -> bytes:
 
 
 def _python_mask_bytes(x0: float, mu0: float, x0p: float, mu0p: float, n: int):
-    """(0, the n mask bytes), or (orbit, step, value) of the first escape,
-    from the Python loop: the reference of the mask loop's self-check."""
-    z = bytearray(n)
-    for i, x in enumerate(orbit_steps(x0, mu0, 4 * n)):
-        if not 0.0 < x < 1.0:
-            return 1, i + 1, x
-        if x > 0.5:
-            z[i >> 2] |= 3 << (6 - 2 * (i & 3))
-    for i, x in enumerate(orbit_steps(x0p, mu0p, n)):
+    """(0, the n mask bytes), or (orbit, step, value) of the first escape:
+    the mask loop of _orbit.c, line for line, on Python floats.  It is
+    key_mask_bytes where the kernel library is not used, and the reference
+    the compiled loop is checked against when it loads."""
+    out = bytearray(n)
+    x = x0
+    for i in range(n):
+        z = 0
+        for j in (0, 1, 2, 3):  # a constant tuple: no range object per pixel
+            x = (mu0 * x) * (1.0 - x)
+            if not 0.0 < x < 1.0:
+                return 1, 4 * i + j + 1, x
+            z = z << 2 | (3 if x > 0.5 else 0)
+        out[i] = z
+    x = x0p
+    for i in range(n):
+        x = (mu0p * x) * (1.0 - x)
         if not 0.0 < x < 1.0:
             return 2, i + 1, x
-        z[i] ^= int(x * 1e5) & 255
-    return 0, bytes(z)
+        out[i] ^= int(x * 1e5) & 255
+    return 0, out
 
 
 def _nibble_planes(nibbles: bytes) -> tuple[bytes, bytes, bytes]:
@@ -428,12 +442,19 @@ def _nibble_planes(nibbles: bytes) -> tuple[bytes, bytes, bytes]:
             nibbles * 256)
 
 
+def _run_mask_bytes(mask_bytes, x0: float, mu0: float, x0p: float, mu0p: float, n: int):
+    """The outcome of the compiled mask loop `mask_bytes`, in the form of
+    _python_mask_bytes."""
+    out = bytearray(n)
+    step, value = ctypes.c_int64(), ctypes.c_double()
+    code = mask_bytes(x0, mu0, x0p, mu0p, n, _address(out), ctypes.byref(step),
+                      ctypes.byref(value))
+    return (code, out) if code == 0 else (code, step.value, value.value)
+
+
 def _check_mask_bytes(mask_bytes) -> None:
     for key in _CHECK_MASK_KEYS:
-        out = bytearray(key[-1])
-        step, value = ctypes.c_int64(), ctypes.c_double()
-        code = mask_bytes(*key, _address(out), ctypes.byref(step), ctypes.byref(value))
-        got = (code, bytes(out)) if code == 0 else (code, step.value, value.value)
+        got = _run_mask_bytes(mask_bytes, *key)
         if got != _python_mask_bytes(*key):
             raise _NoKernel(f"mask self-check failed for key {key}: got {got!r:.60}")
 
@@ -480,8 +501,8 @@ def _check_sbox_pixels(sbox_pixels) -> None:
 
 def _load_kernel() -> _Kernel:
     """The compiled kernel library, built on a cache miss.  Each loop is
-    looked up and checked in turn: the mask bytes, then the pixel loop.
-    Raises _NoKernel when one cannot be used."""
+    looked up and checked in turn: the mask bytes against their Python twin,
+    then the pixel loop.  Raises _NoKernel when one cannot be used."""
     machine = platform.machine()
     if machine not in _KERNEL_MACHINES:
         raise _NoKernel(f"unsupported machine {machine!r}")
@@ -535,15 +556,23 @@ def orbit_backend() -> str:
 # --- The cipher on file bytes. ---
 
 
-def native_mask_bytes(kernel: _Kernel, key: SecretKey, n: int, out: int) -> None:
-    """Write the key's n mask bytes M = T ^ Z to address `out`: the z-orbit
-    to its end first, then the t-orbit.  Raises KeystreamDegenerationError,
+def key_mask_bytes(key: SecretKey, n: int) -> bytearray:
+    """The key's n mask bytes M = T ^ Z, in the compiled mask loop where the
+    kernel library loaded and in its Python twin elsewhere: the z-orbit to
+    its end first, then the t-orbit.  Raises KeystreamDegenerationError,
     naming the escaping orbit's first step outside (0, 1), the z-orbit's
     before the t-orbit runs."""
-    step, value = ctypes.c_int64(), ctypes.c_double()
-    if kernel.mask_bytes(float(key.x0), float(key.mu0), float(key.x0p), float(key.mu0p), n,
-                         out, ctypes.byref(step), ctypes.byref(value)):
-        raise orbit_escape(step.value, value.value)
+    if n < 1:
+        raise ValueError("pixel count must be positive")
+    args = (float(key.x0), float(key.mu0), float(key.x0p), float(key.mu0p), n)
+    kernel = native_kernel()
+    if kernel is None:
+        outcome = _python_mask_bytes(*args)
+    else:
+        outcome = _run_mask_bytes(kernel.mask_bytes, *args)
+    if outcome[0]:
+        raise orbit_escape(*outcome[1:])
+    return outcome[1]
 
 
 def cipher_ppm(kernel: _Kernel, key: SecretKey, data: bytes, width: int, height: int,
@@ -555,8 +584,7 @@ def cipher_ppm(kernel: _Kernel, key: SecretKey, data: bytes, width: int, height:
     n = width * height
     if len(data) - offset != 3 * n:  # the C loop trusts these sizes
         raise ValueError(f"{len(data) - offset} pixel bytes for a {width}x{height} image")
-    masks = bytearray(n)
-    native_mask_bytes(kernel, key, n, _address(masks))
+    masks = key_mask_bytes(key, n)
     row = rule_row(key.k1, key.k2)
     table = sbox_table(inverse_row(row) if inverse else row)
     header = ppm_header(width, height)

@@ -24,7 +24,7 @@ def orbit_cache(tmp_path_factory):
 
 
 def force_python_orbit(monkeypatch):
-    """Send the mask bytes down the Python orbit loop, the S-box through
+    """Send the mask bytes down their Python loop, the S-box through
     numpy, and the CLI's encrypt and decrypt through the numpy cipher: the
     paths the package takes wherever the compiled kernel library cannot be
     used."""
@@ -41,8 +41,8 @@ def require_native_orbit():
 @pytest.fixture
 def orbit_path():
     """The kernel path the test runs on: the compiled library here, the
-    numpy mask bytes and S-box where test_orbit_python_path.py overrides
-    this fixture."""
+    Python mask loop and the numpy S-box where test_orbit_python_path.py
+    overrides this fixture."""
     require_native_orbit()
     return "native"
 

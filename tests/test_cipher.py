@@ -486,12 +486,20 @@ def test_apply_sbox_paths_agree(monkeypatch):
     runs = [(t, p, m, i) for t in tables for p, m in inputs for i in (False, True)]
     # a table one entry short, a mask count off by one, 2-channel pixels;
     # all-zero pixels never read the missing entry 4095
-    bad = [(tables[0][:4095], pixels, masks), (tables[0][:4095], np.zeros_like(pixels), masks),
-           (tables[0], pixels, masks[:-1]), (tables[0], pixels[:, :2], masks)]
-    message = "^apply_sbox needs a 4096-entry table, \\(L, 3\\) pixels and L masks$"
+    sizes = "^apply_sbox needs a 4096-entry table, \\(L, 3\\) pixels and L masks$"
+    bad = [(tables[0][:4095], pixels, masks, sizes),
+           (tables[0][:4095], np.zeros_like(pixels), masks, sizes),
+           (tables[0], pixels, masks[:-1], sizes), (tables[0], pixels[:, :2], masks, sizes)]
+    # values a uint8 cast would wrap or truncate: pixel 256 would act as 0,
+    # a mask of 256 as 0, and float pixels would lose their fraction
+    wide = pixels.astype(np.int64)
+    wide[5, 1] = 256
+    bad += [(tables[0], wide, masks, "^pixel values must lie in 0-255$"),
+            (tables[0], pixels, np.append(masks[:-1], 256), "^mask values must lie in 0-255$"),
+            (tables[0], pixels + 0.5, masks, "^pixel values must be integers, not float64$")]
 
     def refused():
-        for t, p, m in bad:
+        for t, p, m, message in bad:
             for i in (False, True):
                 with pytest.raises(ValueError, match=message):
                     apply_sbox(t, p, m, inverse=i)

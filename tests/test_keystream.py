@@ -132,25 +132,17 @@ def test_keystreams_raise_on_escaped_orbit(orbit_path):
         keystreams(key, 4)
 
 
-@pytest.mark.parametrize("positions", [1, 3, 8])
-def test_orbit_passes_do_not_change_the_orbit(orbit_path, monkeypatch, positions):
-    monkeypatch.setattr(keystream, "PASS_POSITIONS", positions)
-    for n in range(20):
-        assert logistic_orbit(0.501, 3.81, n).tobytes() == orbit_reference(0.501, 3.81, n).tobytes()
-
-
 def _packed_masks(z, t):
     """t ^ 3z, four digits to a byte, most significant first."""
     m = (t ^ 3 * z).astype(np.int64)
     return (m[0::4] * 64 + m[1::4] * 16 + m[2::4] * 4 + m[3::4]).astype(np.uint8)
 
 
-# None keeps the real pass bound.
+# Lengths on both sides of multiples of positions // 4 pixels; None takes
+# the cipher's pass size, where only the first multiples are run.
 @pytest.mark.parametrize("positions", [4, 12, 40, None])
-def test_mask_bytes_match_digit_streams(orbit_path, true_key, monkeypatch, positions):
-    if positions is not None:
-        monkeypatch.setattr(keystream, "PASS_POSITIONS", positions)
-    step = max(1, keystream.PASS_POSITIONS // 4)
+def test_mask_bytes_match_digit_streams(orbit_path, true_key, positions):
+    step = max(1, (positions or cipher.PASS_POSITIONS) // 4)
     lengths = {1, 2, 3, step - 1, step, step + 1, 2 * step + 1}
     if positions is not None:
         lengths |= {2 * step - 1, 2 * step, 5 * step + 3}
@@ -163,22 +155,24 @@ def test_mask_bytes_match_digit_streams(orbit_path, true_key, monkeypatch, posit
         assert np.array_equal(Keystreams(z, t).masks, got), L
 
 
-@pytest.mark.parametrize("positions", [1, 2, 4])
+@pytest.mark.parametrize("scale", [1, 2, 4])
 @pytest.mark.parametrize("x0", ESCAPE_STARTS)
-def test_escape_in_a_later_pass(orbit_path, monkeypatch, positions, x0):
-    # a pass of 1, 2 or 4 positions: logistic_orbit's passes hold that many
-    # iterates, keystreams' z passes 4 and its t passes 1
-    monkeypatch.setattr(keystream, "PASS_POSITIONS", positions)
+def test_escape_in_a_later_pass(orbit_path, scale, x0):
+    # the orbit, and the mask bytes with an escape in the z-orbit, in the
+    # t-orbit (the mask loop's later pass, run once the z-orbit has ended) or
+    # in both; each run asks for 1, 2 or 4 times its base length, and the
+    # first escape is reported whatever follows it
     message = f"orbit escaped (0, 1) at step {ESCAPE_STARTS[x0]}: 1.0"
     with pytest.raises(KeystreamDegenerationError, match=r"^orbit escaped") as want:
         orbit_reference(x0, ESCAPE_MU, 9)
     assert str(want.value) == message
     runs = {
-        "orbit": lambda: logistic_orbit(x0, ESCAPE_MU, 9),
-        "z": lambda: keystreams(SecretKey(1, 1, x0, ESCAPE_MU, 0.3, 3.7), 3),
-        "t": lambda: keystreams(SecretKey(1, 1, 0.3, 3.7, x0, ESCAPE_MU), 9),
+        "orbit": lambda: logistic_orbit(x0, ESCAPE_MU, 9 * scale),
+        "z": lambda: keystreams(SecretKey(1, 1, x0, ESCAPE_MU, 0.3, 3.7), 3 * scale),
+        "t": lambda: keystreams(SecretKey(1, 1, 0.3, 3.7, x0, ESCAPE_MU), 9 * scale),
         # the t-orbit escapes at step 1, but the z-orbit is checked first
-        "both": lambda: keystreams(SecretKey(1, 1, x0, ESCAPE_MU, 0.4999999999417924, ESCAPE_MU), 9),
+        "both": lambda: keystreams(SecretKey(1, 1, x0, ESCAPE_MU, 0.4999999999417924, ESCAPE_MU),
+                                   9 * scale),
     }
     for name, run in runs.items():
         with pytest.raises(KeystreamDegenerationError) as got:
@@ -290,7 +284,9 @@ def test_orbit_paths_agree_on_hostile_arguments(x0, mu, n):
 
 def test_native_path_never_runs_the_python_orbit(true_key, monkeypatch):
     # on the native path the mask bytes come from the compiled mask loop, and
-    # the avalanche's S-box from the compiled pixel loop
+    # the avalanche's S-box from the compiled pixel loop; the Python mask
+    # loop is refused only once the kernel has loaded, since its self-check
+    # runs that loop
     require_native_orbit()
     img = natural_image(16, 16, seed=5)
     with pytest.MonkeyPatch.context() as mp:
@@ -303,7 +299,7 @@ def test_native_path_never_runs_the_python_orbit(true_key, monkeypatch):
             raise AssertionError(f"the native path ran {what}")
         return run
 
-    monkeypatch.setattr(keystream, "_python_orbit", refuse("the Python orbit loop"))
+    monkeypatch.setattr(core, "_python_mask_bytes", refuse("the Python mask loop"))
     monkeypatch.setattr(cipher, "_numpy_sbox", refuse("the numpy S-box"))
     assert np.array_equal(keystreams(true_key, 4099).masks, want)
     assert measure_avalanche(img, true_key, trials=50, seed=2) == report

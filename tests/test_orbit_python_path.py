@@ -1,6 +1,6 @@
 """The orbit and keystream tests of test_keystream.py and the S-box kernel
-tests of test_cipher.py and test_analysis.py, run again on the numpy mask
-bytes and the numpy S-box: the path the package takes wherever the compiled
+tests of test_cipher.py and test_analysis.py, run again on the Python mask
+loop and the numpy S-box: the path the package takes wherever the compiled
 kernel library cannot be used."""
 
 import pytest
@@ -21,7 +21,6 @@ from test_keystream import (  # noqa: F401 -- collected again in this module
     test_orbit_matches_high_precision_oracle,
     test_orbit_matches_oracle_elsewhere,
     test_orbit_matches_reference_loop,
-    test_orbit_passes_do_not_change_the_orbit,
     test_streams_match_reference_loop,
 )
 
